@@ -10,7 +10,6 @@ confirms them by integrating polynomials the rule must reproduce exactly.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable
 
 from .errors import NumericalError

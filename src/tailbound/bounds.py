@@ -19,11 +19,9 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.optimize import brentq, minimize_scalar
-
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
-from .posmoments import (PosMomentMethod, _gauss_partial_moment, pos_moment)
+from .posmoments import PosMomentMethod, _gauss_partial_moment, _route, pos_moment
 from .special import (DEFAULT_TOL, Tolerance, bennett_psi, exp_remainder,
                       lambert_w0_log, poisson_log_tail)
 
@@ -98,8 +96,7 @@ class EffectiveEpsilon(NamedTuple):
     degenerate: bool
 
 
-def bh(sigma: float, y: float, x: float,
-       tol: Tolerance = DEFAULT_TOL) -> TailBoundResult:
+def bh(sigma: float, y: float, x: float) -> TailBoundResult:
     """Bennett-Hoeffding bound exp(-(sigma^2/y^2) psi(x y / sigma^2))."""
     _check_pos("sigma", sigma)
     _check_pos("y", y)
@@ -199,6 +196,7 @@ def pu_numeric(params: BoundParams, x: float,
         hi = min(2.0 * hi, cap)
     if deriv(hi) < 0.0:
         raise NumericalError("no sign change for the PU optimizer")
+    from scipy.optimize import brentq
     lam = brentq(deriv, 0.0, hi, rtol=1e-14, maxiter=tol.max_iter)
     value = math.exp(min(_pu_exponent(params, lam, x), 0.0))
     return TailBoundResult(value, lam, "root-solve")
@@ -232,6 +230,8 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
 
     The bracket starts at [x - 4 stddev, x - 1e-12 max(1,|x|)] and the left
     offset doubles until m drops below x there; Brent's method finishes.
+    When round-off in m leaves no sign change on that bracket (far out in
+    the tail), the failure is a NumericalError.
     """
     x_star = _support_sup(rv)
     if not (0.0 < x < x_star):
@@ -244,8 +244,15 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
         off *= 2.0
         if off > 1e12 * sd:
             raise NumericalError("left bracket for t_x not found")
-    return float(brentq(g, x - off, right, rtol=1e-12,
-                        xtol=1e-12 * max(1.0, abs(x), sd), maxiter=tol.max_iter))
+    from scipy.optimize import brentq
+    try:
+        return float(brentq(g, x - off, right, rtol=1e-12,
+                            xtol=1e-12 * max(1.0, abs(x), sd), maxiter=tol.max_iter))
+    except DomainError:
+        raise
+    except ValueError as exc:  # brentq's bracket check
+        raise NumericalError(f"m(t) - x does not change sign on the t_x bracket "
+                             f"[{x - off}, {right}]") from exc
 
 
 def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
@@ -279,19 +286,8 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
     else:
         alt = value
     value = min(value, 1.0)
-    return TailBoundResult(value, t_x, _method_name(rv, method, alpha),
+    return TailBoundResult(value, t_x, _route(rv, alpha, method),
                            err_estimate=abs(value - alt))
-
-
-def _method_name(rv: object, method: PosMomentMethod | None,
-                 alpha: float) -> str:
-    if method is not None:
-        return method.tag
-    if isinstance(rv, TwoPointRV):
-        return "exact"
-    if isinstance(rv, MixtureRV) and rv.v == 0.0:
-        return "poisson-local"
-    return "series" if float(alpha) in (1.0, 2.0, 3.0) else "laplace"
 
 
 def be(params: BoundParams, x: float,
@@ -300,8 +296,7 @@ def be(params: BoundParams, x: float,
     """Bentkus bound: P_2 of the scaled centered Poisson with the full
     variance budget, y tilde-Pi_{sigma^2/y^2}."""
     _check_nonneg_x(x)
-    rv = MixtureRV(v=0.0, y=params.y, theta=params.sigma**2 / params.y**2)
-    return p_alpha(rv, 2.0, x, method=method, tol=tol)
+    return p_alpha(params.bentkus(), 2.0, x, method=method, tol=tol)
 
 
 def pin(params: BoundParams, x: float,
@@ -402,12 +397,10 @@ def plc_mixture_upper(params: BoundParams, x: float,
         knots.extend(y * (k - theta) for k in range(k_lo, k_hi + 1, stride))
     knots.append(z_hi)
     knots = sorted(set(kn for kn in knots if z_lo <= kn <= z_hi))
-    total, err = 0.0, 0.0
+    total = 0.0
     for a, b in zip(knots, knots[1:]):
-        val, e = adaptive_quad(f, a, b, rel=tol.rel * 0.1,
-                               abs_tol=1e-16 / max(1, len(knots)))
-        total += val
-        err += e
+        total += adaptive_quad(f, a, b, rel=tol.rel * 0.1,
+                               abs_tol=1e-16 / max(1, len(knots)))[0]
     return min(1.0, max(0.0, total))
 
 
@@ -441,7 +434,7 @@ def effective_epsilon(summands: list[SummandBudget], y: float) -> EffectiveEpsil
     return EffectiveEpsilon(eps_tilde, math.sqrt(s2), not 0.0 < eps_tilde < 1.0)
 
 
-def ea(x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def ea(x: float) -> float:
     """Two-sided third-moment bound for the standard normal:
     inf_{t in (0,x)} E(|Z| - t)_+^3 / (x - t)^3, clamped to 1.
 
@@ -450,6 +443,7 @@ def ea(x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     if not (x > 0.0):
         raise DomainError(f"x must be positive, got {x}")
+    from scipy.optimize import minimize_scalar
 
     def g(t: float) -> float:
         return 2.0 * _gauss_partial_moment(1.0, -t, 3) / (x - t) ** 3
@@ -482,6 +476,7 @@ def alpha_x_split(params: BoundParams, x: float,
         return ((1.0 - a) * x * x / ((1.0 - eps) * s2)
                 - x / y * math.log1p(a * x * y / (eps * s2)))
 
+    from scipy.optimize import brentq
     return float(brentq(h, 0.0, 1.0, rtol=1e-15, maxiter=tol.max_iter))
 
 

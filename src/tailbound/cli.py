@@ -14,28 +14,33 @@ import os
 import sys
 
 from . import bounds as bd
-from .distributions import BoundParams, TwoPointRV
+from .distributions import (BoundParams, MixtureRV, TwoPointRV,
+                            two_point_palpha_closed)
 from .errors import DomainError, TailboundError
 from .oracle import (TestFunction, enumerate_expectation, extremal_sum_spec,
                      hp_counterexample_gap, mc_expectation, mc_tail,
                      mixture_expectation_f, random_sum_spec)
 from .posmoments import PosMomentMethod, pos_moment
-from .special import DEFAULT_TOL, Tolerance, normal_tail
+from .special import DEFAULT_TOL, Tolerance, normal_tail, poisson_tail
 
 __all__ = ["run", "main"]
 
-_BOUNDS = ("bh", "pu", "be", "pin", "ca", "en", "ea", "lc3")
-# flags each bound actually consumes, beyond --x
-_NEEDS = {
-    "bh": ("sigma", "y"),
-    "pu": ("sigma", "y", "eps"),
-    "be": ("sigma", "y"),
-    "pin": ("sigma", "y", "eps"),
-    "lc3": ("sigma", "y", "eps"),
-    "ca": ("sigma",),
-    "en": ("sigma",),
-    "ea": (),
+# name -> (flags the bound consumes beyond --x, its value at x given the
+# parsed flags, the BoundParams built from them and the tolerance).  Each
+# entry looks its bound up in `bd` at call time, so a replaced module
+# attribute (a test double, a tracing wrapper) takes effect.
+_BOUNDS = {
+    "bh": (("sigma", "y"), lambda a, p, x, tol: bd.bh(a.sigma, a.y, x).value),
+    "pu": (("sigma", "y", "eps"), lambda a, p, x, tol: bd.pu(p, x, tol).value),
+    "be": (("sigma", "y"), lambda a, p, x, tol: bd.be(p, x, tol=tol).value),
+    "pin": (("sigma", "y", "eps"), lambda a, p, x, tol: bd.pin(p, x, tol=tol).value),
+    "ca": (("sigma",), lambda a, p, x, tol: bd.ca(a.sigma, x)),
+    "en": (("sigma",), lambda a, p, x, tol: bd.en(a.sigma, x)),
+    "ea": ((), lambda a, p, x, tol: bd.ea(x)),
+    "lc3": (("sigma", "y", "eps"), lambda a, p, x, tol: bd.lc3_bound(p, x, tol)),
 }
+_COMPARED = ("bh", "pu", "be", "pin", "ca", "en")
+_VS_BH = ("be", "pin", "pu")  # compare's log10(bound / bh) columns
 
 
 def main() -> None:
@@ -134,43 +139,22 @@ def _fmt(value: float, digits: int) -> str:
     return f"%.{digits}e" % value
 
 
-def _require(args: argparse.Namespace, bound: str) -> BoundParams | None:
-    """Check the flags this bound needs and build BoundParams when it
-    takes the full triple (eps defaults to 1/2 where unused)."""
-    needed = _NEEDS[bound]
-    for name in needed:
+def _require(args: argparse.Namespace, needs: tuple[str, ...],
+             what: str) -> BoundParams | None:
+    """Check the flags in ``needs`` and build BoundParams when y is among
+    them (eps defaults to 1/2 where unused)."""
+    for name in needs:
         if getattr(args, name, None) is None:
-            raise DomainError(f"--{name} is required for --bound {bound}")
-    if "y" not in needed:
+            raise DomainError(f"--{name} is required for {what}")
+    if "y" not in needs:
         return None
-    eps = args.eps if "eps" in needed else 0.5
-    return BoundParams(args.sigma, args.y, eps)
-
-
-def _eval_one(bound: str, params: BoundParams | None,
-              args: argparse.Namespace, x: float, tol: Tolerance) -> float:
-    if bound == "bh":
-        return bd.bh(args.sigma, args.y, x, tol).value
-    if bound == "pu":
-        return bd.pu(params, x, tol).value
-    if bound == "be":
-        return bd.be(params, x, tol=tol).value
-    if bound == "pin":
-        return bd.pin(params, x, tol=tol).value
-    if bound == "lc3":
-        return bd.lc3_bound(params, x, tol)
-    if bound == "ca":
-        return bd.ca(args.sigma, x)
-    if bound == "en":
-        return bd.en(args.sigma, x)
-    if bound == "ea":
-        return bd.ea(x, tol)
-    raise DomainError(f"unknown bound {bound!r}")
+    return BoundParams(args.sigma, args.y, args.eps if "eps" in needs else 0.5)
 
 
 def _cmd_eval(args: argparse.Namespace, tol: Tolerance) -> int:
-    params = _require(args, args.bound)
-    value = _eval_one(args.bound, params, args, args.x, tol)
+    needs, value_at = _BOUNDS[args.bound]
+    params = _require(args, needs, f"--bound {args.bound}")
+    value = value_at(args, params, args.x, tol)
     print("value")
     print(_fmt(value, args.digits))
     return 0
@@ -181,7 +165,8 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
         raise DomainError("--x-min must be below --x-max")
     if args.points < 2:
         raise DomainError("--points must be at least 2")
-    params = _require(args, args.bound)
+    needs, value_at = _BOUNDS[args.bound]
+    params = _require(args, needs, f"--bound {args.bound}")
     print("x,value")
     if args.parametric:
         for x, v in _parametric_rows(args, params, tol):
@@ -189,7 +174,7 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
         return 0
     for i in range(args.points):
         x = args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
-        v = _eval_one(args.bound, params, args, x, tol)
+        v = value_at(args, params, x, tol)
         print(f"{_fmt(x, args.digits)},{_fmt(v, args.digits)}")
     return 0
 
@@ -202,15 +187,9 @@ def _parametric_rows(args: argparse.Namespace, params: BoundParams,
     grid point."""
     if args.bound not in ("be", "pin"):
         raise DomainError("--parametric applies to be and pin only")
-    if args.bound == "pin":
-        rv, alpha = params.mixture(), 3.0
-    else:
-        from .distributions import MixtureRV
-        rv = MixtureRV(v=0.0, y=params.y, theta=params.sigma**2 / params.y**2)
-        alpha = 2.0
+    rv, alpha = (params.mixture(), 3.0) if args.bound == "pin" else (params.bentkus(), 2.0)
     if args.x_min <= 0.0:
         raise DomainError("parametric sweeps need 0 < x-min")
-    from scipy.optimize import brentq
 
     def u_of_x(x: float) -> float:
         t = bd.solve_t_x(rv, alpha, x, tol)
@@ -227,36 +206,23 @@ def _parametric_rows(args: argparse.Namespace, params: BoundParams,
 
 
 def _cmd_compare(args: argparse.Namespace, tol: Tolerance) -> int:
-    for name in ("sigma", "y", "eps"):
-        if getattr(args, name) is None:
-            raise DomainError(f"--{name} is required for compare")
+    params = _require(args, ("sigma", "y", "eps"), "compare")
     if args.points < 2:
         raise DomainError("--points must be at least 2")
-    params = BoundParams(args.sigma, args.y, args.eps)
     d = args.digits
-    print("x,bh,pu,be,pin,ca,en,log10_be_bh,log10_pin_bh,log10_pu_bh")
+    print(",".join(["x", *_COMPARED, *(f"log10_{name}_bh" for name in _VS_BH)]))
+    floor = 1e-300
     for i in range(args.points):
         x = args.x_max * i / (args.points - 1)
-        vbh = bd.bh(args.sigma, args.y, x, tol).value
-        vpu = bd.pu(params, x, tol).value
-        vbe = bd.be(params, x, tol=tol).value
-        vpin = bd.pin(params, x, tol=tol).value
-        vca = bd.ca(args.sigma, x)
-        ven = bd.en(args.sigma, x)
-        floor = 1e-300
-        row = [x, vbh, vpu, vbe, vpin, vca, ven,
-               math.log10(max(vbe, floor) / max(vbh, floor)),
-               math.log10(max(vpin, floor) / max(vbh, floor)),
-               math.log10(max(vpu, floor) / max(vbh, floor))]
-        print(",".join(_fmt(v, d) for v in row))
+        v = {name: _BOUNDS[name][1](args, params, x, tol) for name in _COMPARED}
+        row = [x, *v.values()] + [math.log10(max(v[name], floor) / max(v["bh"], floor))
+                                  for name in _VS_BH]
+        print(",".join(_fmt(val, d) for val in row))
     return 0
 
 
 def _cmd_extremal(args: argparse.Namespace, tol: Tolerance) -> int:
-    for name in ("sigma", "y", "eps"):
-        if getattr(args, name) is None:
-            raise DomainError(f"--{name} is required for extremal")
-    params = BoundParams(args.sigma, args.y, args.eps)
+    params = _require(args, ("sigma", "y", "eps"), "extremal")
     spec = extremal_sum_spec(params, args.m, tol)
     est = mc_tail(spec, args.x, args.samples, args.seed)
     vpin = bd.pin(params, args.x, tol=tol).value
@@ -287,12 +253,17 @@ def _cmd_validate(args: argparse.Namespace, tol: Tolerance) -> int:
     return 0
 
 
-def _comparison_holds(spec, params, funcs, tol: Tolerance) -> bool:
-    for f in funcs:
-        lhs = enumerate_expectation(spec, f)
-        rhs = mixture_expectation_f(params, f, tol)
-        if lhs > rhs * (1.0 + 1e-6):
-            return False
+def _comparison_holds(funcs, cases, tol: Tolerance) -> bool:
+    """E f(S) <= E f(eta) for every f in ``funcs`` on the random sum
+    random_sum_spec(n, seed) of each (n, seed) in ``cases``."""
+    for n, seed in cases:
+        spec = random_sum_spec(n, seed)
+        params = spec.aggregate_params()
+        for f in funcs:
+            lhs = enumerate_expectation(spec, f)
+            rhs = mixture_expectation_f(params, f, tol)
+            if lhs > rhs * (1.0 + 1e-6):
+                return False
     return True
 
 
@@ -316,7 +287,7 @@ def _quick_checks(seed: int, tol: Tolerance):
         pp = BoundParams(1.0, 1.0, 0.3)
         for i in range(8):
             x = 0.5 * (i + 1)
-            vbh = bd.bh(1.0, 1.0, x, tol).value
+            vbh = bd.bh(1.0, 1.0, x).value
             vpu = bd.pu(pp, x, tol).value
             vpin = bd.pin(pp, x, tol=tol).value
             vbe = bd.be(pp, x, tol=tol).value
@@ -327,7 +298,6 @@ def _quick_checks(seed: int, tol: Tolerance):
         return True
 
     def two_point_closed() -> bool:
-        from .distributions import two_point_palpha_closed
         tp = TwoPointRV(1.0, 3.0)
         got = bd.p_alpha(tp, 2.0, 1.0, tol=tol).value
         if abs(got - 0.75) > 1e-10:
@@ -344,15 +314,6 @@ def _quick_checks(seed: int, tol: Tolerance):
             chf = pos_moment(mix, 1.0, 3.0, PosMomentMethod.charfn(), tol)
         return abs(lap - ser) <= 1e-6 * ser and abs(chf - ser) <= 1e-5 * ser
 
-    def comparison_small() -> bool:
-        funcs = [TestFunction.power_part(t) for t in (-1.0, 0.0, 1.0)] \
-            + [TestFunction.exponential(1.0)]
-        for i in range(10):
-            spec = random_sum_spec(8, seed + i)
-            if not _comparison_holds(spec, spec.aggregate_params(), funcs, tol):
-                return False
-        return True
-
     def mc_determinism() -> bool:
         spec = random_sum_spec(6, seed)
         a = mc_tail(spec, 0.3, 10_000, seed)
@@ -364,7 +325,7 @@ def _quick_checks(seed: int, tol: Tolerance):
         ax = bd.alpha_x_split(p, x, tol)
         s2e = p.eps * p.sigma**2
         lhs = bd.en(math.sqrt((1 - p.eps)) * p.sigma, (1 - ax) * x) \
-            * bd.bh(math.sqrt(s2e), p.y, ax * x, tol).value
+            * bd.bh(math.sqrt(s2e), p.y, ax * x).value
         return abs(lhs - bd.pu(p, x, tol).value) <= 1e-8 * lhs
 
     return [
@@ -372,22 +333,16 @@ def _quick_checks(seed: int, tol: Tolerance):
         ("ordering", ordering),
         ("two_point_closed", two_point_closed),
         ("posmoment_routes", posmoment_routes),
-        ("comparison_small", comparison_small),
+        ("comparison_small", lambda: _comparison_holds(
+            [TestFunction.power_part(t) for t in (-1.0, 0.0, 1.0)]
+            + [TestFunction.exponential(1.0)],
+            [(8, seed + i) for i in range(10)], tol)),
         ("mc_determinism", mc_determinism),
         ("split_identity", split_identity),
     ]
 
 
 def _full_checks(seed: int, tol: Tolerance):
-    def comparison_full() -> bool:
-        funcs = [TestFunction.power_part(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)] \
-            + [TestFunction.exponential(lam) for lam in (0.5, 1.0, 2.0)]
-        for i in range(100):
-            spec = random_sum_spec(4 + (i % 9), seed + 1000 + i)
-            if not _comparison_holds(spec, spec.aggregate_params(), funcs, tol):
-                return False
-        return True
-
     def tightness() -> bool:
         params = BoundParams(1.0, 1.0, 0.1)
         f = TestFunction.power_part(1.0, 3.0)
@@ -409,8 +364,6 @@ def _full_checks(seed: int, tol: Tolerance):
         return upper and lower
 
     def oscillation() -> bool:
-        from .distributions import MixtureRV
-        from .special import poisson_tail
         rv = MixtureRV(0.0, 1.0, 0.6)
         x = 15.0 - 0.6
         r1 = bd.p_alpha(rv, 2.0, x, tol=tol).value / poisson_tail(0.6, 15.0)
@@ -418,7 +371,6 @@ def _full_checks(seed: int, tol: Tolerance):
         return 1.0 <= r1 <= 1.15 and 0.85 <= r2 <= 1.15
 
     def normal_constant() -> bool:
-        from .distributions import MixtureRV
         rv = MixtureRV(1.0, 1.0, 0.0)
         ratio = bd.p_alpha(rv, 3.0, 8.0, tol=tol).value / normal_tail(1.0, 8.0)
         return 0.9 * bd.c_const(3.0, 0.0) <= ratio <= 1.1 * bd.c_const(3.0, 0.0)
@@ -443,7 +395,10 @@ def _full_checks(seed: int, tol: Tolerance):
             hp_counterexample_gap(3.0, 0.01, tol) >= -1e-6
 
     return [
-        ("comparison_full", comparison_full),
+        ("comparison_full", lambda: _comparison_holds(
+            [TestFunction.power_part(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+            + [TestFunction.exponential(lam) for lam in (0.5, 1.0, 2.0)],
+            [(4 + (i % 9), seed + 1000 + i) for i in range(100)], tol)),
         ("tightness", tightness),
         ("mc_consistency", mc_consistency),
         ("oscillation", oscillation),

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, NumericalError, RangeError
 from .special import (
     DEFAULT_TOL,
     Tolerance,
@@ -68,6 +68,11 @@ class BoundParams:
         return MixtureRV(v=(1.0 - self.eps) * s2, y=self.y,
                          theta=self.eps * s2 / (self.y * self.y))
 
+    def bentkus(self) -> MixtureRV:
+        """The Bentkus comparison law: the scaled centered Poisson carrying
+        the full variance budget, y (Pois(sigma^2/y^2) - sigma^2/y^2)."""
+        return MixtureRV(v=0.0, y=self.y, theta=self.sigma**2 / self.y**2)
+
 
 @dataclass(frozen=True, slots=True)
 class MixtureRV:
@@ -90,10 +95,6 @@ class MixtureRV:
             raise DomainError(f"theta must be >= 0, got {self.theta}")
         if self.v == 0.0 and self.theta == 0.0:
             raise DomainError("v and theta cannot both be zero")
-
-    @classmethod
-    def from_params(cls, params: BoundParams) -> MixtureRV:
-        return params.mixture()
 
     @property
     def variance(self) -> float:
@@ -186,7 +187,7 @@ def mixture_tail(rv: MixtureRV, x: float, tol: Tolerance = DEFAULT_TOL) -> float
             if remaining <= tol.abs:
                 return min(1.0, max(0.0, total))
         k += 1
-    raise DomainError("mixture_tail series failed to terminate")
+    raise NumericalError("mixture_tail series failed to terminate", estimate=total)
 
 
 def _logsumexp2(l1: float, l2: float) -> float:

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import pu_exp
-from .distributions import BoundParams, MixtureRV, TwoPointRV
+from .distributions import BoundParams, TwoPointRV
 from .errors import ConstructionError, DomainError, NumericalError
 from .posmoments import pos_moment
 from .special import DEFAULT_TOL, Tolerance
@@ -150,6 +149,7 @@ def extremal_two_point(sigma: float, y: float, beta: float,
     def h(b: float) -> float:
         return s2 * b**3 - beta * (b * b + s2)
 
+    from scipy.optimize import brentq
     b = y if beta >= cap else float(brentq(h, 0.0, y, rtol=1e-15,
                                            maxiter=tol.max_iter))
     a = s2 / b
@@ -185,6 +185,7 @@ def extremal_sum_spec(params: BoundParams, m: int,
 
     if not (g(0.0) > 0.0 and g(params.sigma) < 0.0):
         raise ConstructionError(f"no split point for m = {m}; increase m")
+    from scipy.optimize import brentq
     b = float(brentq(g, 0.0, params.sigma, rtol=1e-15, maxiter=tol.max_iter))
     a = (s2 - b * b) / y
     sm = b / math.sqrt(m)
@@ -222,8 +223,7 @@ def mixture_expectation_f(params: BoundParams, f: TestFunction,
     if f.tag == "power_part":
         return pos_moment(params.mixture(), f.t, f.alpha, tol=tol)
     if f.tag == "power_part2":
-        rv = MixtureRV(v=0.0, y=params.y, theta=params.sigma**2 / params.y**2)
-        return pos_moment(rv, f.t, f.alpha, tol=tol)
+        return pos_moment(params.bentkus(), f.t, f.alpha, tol=tol)
     raise DomainError(f"unsupported test function {f.tag!r}")
 
 

@@ -403,6 +403,21 @@ def _two_point_exact(rv: TwoPointRV, w: float, alpha: float) -> float:
     return out
 
 
+def _route(rv: MixtureRV | TwoPointRV, alpha: float,
+           method: PosMomentMethod | None = None) -> str:
+    """The route :func:`pos_moment` takes: the tag of ``method`` when one
+    is forced, otherwise "exact" for two-point laws, "poisson-local" for
+    pure-Poisson mixtures (v = 0), "series" for alpha in {1, 2, 3} and
+    "laplace" for any other power."""
+    if method is not None:
+        return method.tag
+    if isinstance(rv, TwoPointRV):
+        return "exact"
+    if rv.v == 0.0:
+        return "poisson-local"
+    return "series" if float(alpha) in (1.0, 2.0, 3.0) else "laplace"
+
+
 def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
                method: PosMomentMethod | None = None,
                tol: Tolerance = DEFAULT_TOL) -> float:
@@ -415,31 +430,25 @@ def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if isinstance(rv, TwoPointRV):
-        if method is not None and method.tag != "series":
-            return _two_point_integral(rv, w, alpha, method, tol)
-        return _two_point_exact(rv, w, alpha)
-    if not isinstance(rv, MixtureRV):
+    if not isinstance(rv, (MixtureRV, TwoPointRV)):
         raise DomainError(f"unsupported law {type(rv).__name__}")
-    if method is None:
-        if rv.v == 0.0:
-            return pos_moment_poisson_local(rv.theta, rv.y, w, alpha, tol)
-        if float(alpha) in (1.0, 2.0, 3.0):
-            return pos_moment_mixture_series(rv, w, int(alpha), tol)
-        return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha,
-                                  _default_abscissa(rv.y), -1, tol,
-                                  gauss_var=rv.v)
-    if method.tag == "series":
+    route = _route(rv, alpha, method)
+    if isinstance(rv, TwoPointRV):
+        if route in ("exact", "series"):
+            return _two_point_exact(rv, w, alpha)
+        return _two_point_integral(rv, w, alpha, method, tol)
+    if route == "poisson-local":
+        return pos_moment_poisson_local(rv.theta, rv.y, w, alpha, tol)
+    if route == "series":
         return pos_moment_mixture_series(rv, w, _as_small_int(alpha), tol)
-    if method.tag == "laplace":
-        s = method.s if method.s is not None else _default_abscissa(rv.y)
+    if route == "laplace":
+        s = method.s if method is not None and method.s is not None \
+            else _default_abscissa(rv.y)
         return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha, s,
                                   -1, tol, gauss_var=rv.v)
-    if method.tag == "charfn":
-        moments = mixture_shifted_moments(rv, w, upto=6)
-        return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
-                                 moments, w, alpha, tol)
-    raise DomainError(f"method {method.tag!r} not applicable here")
+    moments = mixture_shifted_moments(rv, w, upto=6)
+    return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
+                             moments, w, alpha, tol)
 
 
 def _default_abscissa(y: float) -> float:
@@ -457,11 +466,9 @@ def _two_point_integral(rv: TwoPointRV, w: float, alpha: float,
             return pn * cmath.exp(-z * a) + pp * cmath.exp(z * b)
 
         return pos_moment_laplace(mgf, w, alpha, s, -1, tol)
-    if method.tag == "charfn":
-        moments = [pn * (-a - w) ** m + pp * (b - w) ** m for m in range(7)]
+    moments = [pn * (-a - w) ** m + pp * (b - w) ** m for m in range(7)]
 
-        def cf(t: float) -> complex:
-            return pn * cmath.exp(complex(0.0, -t * a)) + pp * cmath.exp(complex(0.0, t * b))
+    def cf(t: float) -> complex:
+        return pn * cmath.exp(complex(0.0, -t * a)) + pp * cmath.exp(complex(0.0, t * b))
 
-        return pos_moment_charfn(cf, moments, w, alpha, tol)
-    raise DomainError(f"method {method.tag!r} not applicable to two-point laws")
+    return pos_moment_charfn(cf, moments, w, alpha, tol)

@@ -254,6 +254,13 @@ def test_be_pin_frozen_values():
                                                   rel=1e-9)
 
 
+def test_pin_bracket_without_sign_change_is_numerical_error():
+    # m(t) - x is about -3.5e-11 at the right end of the t_x bracket, so
+    # Brent's bracket check fails; that is a numerical failure, not bad input.
+    with pytest.raises(NumericalError):
+        pin(BoundParams(1.0, 0.1, 0.1), 35.0)
+
+
 def test_pin_method_override_consistency():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

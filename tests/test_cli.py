@@ -1,9 +1,14 @@
 """The command-line front end: grammar, CSV contracts, determinism."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import tailbound
 from tailbound import BoundParams, bh, pin, pu
 from tailbound.cli import run
 
@@ -60,10 +65,41 @@ def test_eval_each_bound_reachable(capsys):
         assert 0.0 <= float(rows[0][0]) <= 1.0
 
 
-def test_eval_missing_flag_is_usage_error(capsys):
-    assert run(["eval", "--bound", "pu", "--sigma", "1", "--y", "1",
-                "--x", "1"]) == 2
-    assert "--eps" in capsys.readouterr().err
+@pytest.mark.parametrize("bound, flag", [
+    ("bh", "sigma"), ("bh", "y"),
+    ("pu", "sigma"), ("pu", "y"), ("pu", "eps"),
+    ("be", "sigma"), ("be", "y"),
+    ("pin", "sigma"), ("pin", "y"), ("pin", "eps"),
+    ("ca", "sigma"), ("en", "sigma"),
+    ("lc3", "sigma"), ("lc3", "y"), ("lc3", "eps"),
+])
+def test_eval_missing_flag_is_usage_error(capsys, bound, flag):
+    flags = {"sigma": "1", "y": "1", "eps": "0.3"}
+    del flags[flag]
+    argv = ["eval", "--bound", bound, "--x", "1"]
+    for name, val in flags.items():
+        argv += [f"--{name}", val]
+    assert run(argv) == 2
+    assert f"--{flag} " in capsys.readouterr().err
+
+
+def test_eval_numerical_failure_exits_one(capsys):
+    # pin's t_x bracket has no sign change at this deep-tail point.
+    assert run(["eval", "--bound", "pin", "--sigma", "1", "--y", "0.1",
+                "--eps", "0.1", "--x", "35"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(pathlib.Path(tailbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tailbound.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_eval_domain_error_maps_to_two(capsys):

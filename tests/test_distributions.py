@@ -12,6 +12,7 @@ from tailbound import (
     BoundParams,
     DomainError,
     MixtureRV,
+    NumericalError,
     RangeError,
     TwoPointRV,
     mixture_mgf,
@@ -61,9 +62,11 @@ def test_mixture_rv_edges():
         MixtureRV(1.0, -1.0, 0.5)
 
 
-def test_mixture_from_params_matches_method():
+def test_bentkus_law_carries_full_variance_budget():
     p = BoundParams(1.3, 0.7, 0.4)
-    assert MixtureRV.from_params(p) == p.mixture()
+    rv = p.bentkus()
+    assert (rv.v, rv.y) == (0.0, p.y)
+    assert rv.variance == pytest.approx(p.sigma**2, rel=1e-15)
 
 
 @given(positive, positive)
@@ -131,6 +134,13 @@ def test_mixture_tail_agrees_with_monte_carlo():
     # stderr = 1.576e-5.  The series value must sit within 4 standard errors.
     rv = MixtureRV(0.9, 1.0, 0.1)
     assert abs(mixture_tail(rv, 2.0) - 0.02549793) <= 4.0 * 1.58e-5
+
+
+def test_mixture_tail_unterminated_series_is_numerical_error():
+    # theta = 5e5 puts the Poisson mass past the series' 200 000-term cap.
+    with pytest.raises(NumericalError) as info:
+        mixture_tail(BoundParams(1.0, 1e-3, 0.5).mixture(), 2.0)
+    assert info.value.estimate is not None
 
 
 def test_mixture_tail_decreasing_in_x():
