@@ -339,8 +339,7 @@ def c_const(alpha: float, beta: float) -> float:
     return num / den
 
 
-def plc_poisson_tail(theta: float, u: float,
-                     tol: Tolerance = DEFAULT_TOL) -> float:
+def plc_poisson_tail(theta: float, u: float) -> float:
     """Least log-concave majorant of u |-> P(Pois(theta) >= u).
 
     Geometric interpolation of the tail between consecutive integers:
@@ -354,9 +353,9 @@ def plc_poisson_tail(theta: float, u: float,
     log_val = 0.0
     e1, e2 = j + 1.0 - u, u - j
     if e1 != 0.0:
-        log_val += e1 * poisson_log_tail(theta, float(j), tol)
+        log_val += e1 * poisson_log_tail(theta, float(j))
     if e2 != 0.0:
-        lt = poisson_log_tail(theta, float(j + 1), tol)
+        lt = poisson_log_tail(theta, float(j + 1))
         if lt == -math.inf:
             return 0.0
         log_val += e2 * lt
@@ -386,7 +385,7 @@ def plc_mixture_upper(params: BoundParams, x: float,
 
     def f(z: float) -> float:
         d = x - z
-        return (plc_poisson_tail(theta, z / y + theta, tol)
+        return (plc_poisson_tail(theta, z / y + theta)
                 * inv * math.exp(-0.5 * d * d / v))
 
     k_lo = math.ceil(z_lo / y + theta)

@@ -167,14 +167,15 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
         raise DomainError("--points must be at least 2")
     needs, value_at = _BOUNDS[args.bound]
     params = _require(args, needs, f"--bound {args.bound}")
-    print("x,value")
+    # Rows first, so a failing point leaves stdout empty, not a partial table.
     if args.parametric:
-        for x, v in _parametric_rows(args, params, tol):
-            print(f"{_fmt(x, args.digits)},{_fmt(v, args.digits)}")
-        return 0
-    for i in range(args.points):
-        x = args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
-        v = value_at(args, params, x, tol)
+        rows = list(_parametric_rows(args, params, tol))
+    else:
+        xs = (args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
+              for i in range(args.points))
+        rows = [(x, value_at(args, params, x, tol)) for x in xs]
+    print("x,value")
+    for x, v in rows:
         print(f"{_fmt(x, args.digits)},{_fmt(v, args.digits)}")
     return 0
 
@@ -209,15 +210,16 @@ def _cmd_compare(args: argparse.Namespace, tol: Tolerance) -> int:
     params = _require(args, ("sigma", "y", "eps"), "compare")
     if args.points < 2:
         raise DomainError("--points must be at least 2")
-    d = args.digits
-    print(",".join(["x", *_COMPARED, *(f"log10_{name}_bh" for name in _VS_BH)]))
     floor = 1e-300
+    rows = []  # all computed before the header, as in sweep
     for i in range(args.points):
         x = args.x_max * i / (args.points - 1)
         v = {name: _BOUNDS[name][1](args, params, x, tol) for name in _COMPARED}
-        row = [x, *v.values()] + [math.log10(max(v[name], floor) / max(v["bh"], floor))
-                                  for name in _VS_BH]
-        print(",".join(_fmt(val, d) for val in row))
+        rows.append([x, *v.values()] + [math.log10(max(v[name], floor) / max(v["bh"], floor))
+                                        for name in _VS_BH])
+    print(",".join(["x", *_COMPARED, *(f"log10_{name}_bh" for name in _VS_BH)]))
+    for row in rows:
+        print(",".join(_fmt(val, args.digits) for val in row))
     return 0
 
 

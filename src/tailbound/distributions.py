@@ -13,15 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError, RangeError
-from .special import (
-    DEFAULT_TOL,
-    Tolerance,
-    exp_remainder,
-    normal_tail,
-    poisson_tail,
-    _poisson_logpmf,
-)
+from .errors import DomainError, RangeError
+from .special import _poisson_log_sum, exp_remainder, normal_tail, poisson_tail
 
 __all__ = [
     "BoundParams",
@@ -157,37 +150,24 @@ def mixture_mgf(rv: MixtureRV, z: complex) -> complex:
     return math.exp(expo.real)
 
 
-def mixture_tail(rv: MixtureRV, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def mixture_tail(rv: MixtureRV, x: float) -> float:
     """P(eta >= x), conditioning on the Poisson count.
 
-    Each count k contributes pmf(k) * P(N(0, v) >= x - y (k - theta)); the
-    series stops once the remaining Poisson mass is certifiably below the
-    absolute tolerance (every summand is at most 1, so that mass bounds the
-    truncation error).  With v = 0 the tail is a pure Poisson survival
-    probability and is delegated accordingly.
+    Each count k contributes pmf(k) * P(N(0, v) >= x - y (k - theta)), a
+    log-concave function of k, summed with a certified stop by
+    :func:`tailbound.special._poisson_log_sum`.  With v = 0 the tail is a
+    pure Poisson survival probability and is delegated accordingly.
     """
     if not math.isfinite(x):
         raise DomainError(f"mixture_tail requires finite x, got {x}")
     if rv.v == 0.0:
         # y*(Pois - theta) >= x iff Pois >= theta + x / y.
-        return poisson_tail(rv.theta, rv.theta + x / rv.y, tol)
+        return poisson_tail(rv.theta, rv.theta + x / rv.y)
     if rv.theta == 0.0:
         return normal_tail(rv.v, x)
-    total = 0.0
-    k = 0
-    while k <= 200_000:
-        pmf = math.exp(_poisson_logpmf(k, rv.theta))
-        total += pmf * normal_tail(rv.v, x - rv.y * (k - rv.theta))
-        # Remaining Poisson mass after k, bounded geometrically once the
-        # pmf ratio theta / (k + 1) has dropped below 1.
-        r = rv.theta / (k + 1.0)
-        if r < 1.0:
-            next_pmf = pmf * r
-            remaining = next_pmf / (1.0 - rv.theta / (k + 2.0)) if rv.theta / (k + 2.0) < 1.0 else math.inf
-            if remaining <= tol.abs:
-                return min(1.0, max(0.0, total))
-        k += 1
-    raise NumericalError("mixture_tail series failed to terminate", estimate=total)
+    v, y, theta = rv.v, rv.y, rv.theta
+    return min(1.0, math.exp(_poisson_log_sum(
+        theta, lambda k: normal_tail(v, x - y * (k - theta)))))
 
 
 def _logsumexp2(l1: float, l2: float) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from ._quadrature import adaptive_quad
 from .distributions import MixtureRV, TwoPointRV, mixture_mgf
 from .errors import DomainError, NumericalError
-from .special import DEFAULT_TOL, Tolerance, normal_tail, _poisson_logpmf
+from .special import DEFAULT_TOL, Tolerance, normal_tail, _poisson_log_sum
 
 __all__ = [
     "PosMomentMethod",
@@ -82,14 +82,19 @@ def _gauss_partial_moment(v: float, mu: float, alpha: int) -> float:
         alpha = 3:  mu (3v + mu^2) Q + sqrt(v) (2v + mu^2) phi
 
     The coefficients follow from the recursions for truncated normal
-    moments and are pinned against a quadrature oracle in the tests.
+    moments and are pinned against a quadrature oracle in the tests.  Past
+    z0 = 5 the two terms nearly cancel (at alpha = 3 the relative error of
+    the closed form is 1e-10 at z0 = 8.4 and 4e-9 at z0 = 12.6), so there
+    the slice is sqrt(v)^alpha phi J_alpha(z0) from :func:`_mills_moment`.
     """
     if v == 0.0:
         return max(mu, 0.0) ** alpha
     s = math.sqrt(v)
     z0 = -mu / s
-    q = normal_tail(1.0, z0)
     phi = math.exp(-0.5 * z0 * z0) / _SQRT_2PI
+    if z0 > 5.0:
+        return s**alpha * phi * _mills_moment(z0, alpha)
+    q = normal_tail(1.0, z0)
     if alpha == 1:
         return s * phi + mu * q
     if alpha == 2:
@@ -99,43 +104,41 @@ def _gauss_partial_moment(v: float, mu: float, alpha: int) -> float:
     raise DomainError(f"alpha must be 1, 2 or 3, got {alpha}")
 
 
+def _mills_moment(z: float, n: int) -> float:
+    """J_n(z) = Int_0^inf u^n exp(-z u - u^2/2) du, so E(Z - z)_+^n =
+    phi(z) J_n(z), from the continued fraction J_m/J_{m-1} = m/(z + J_{m+1}/J_m)
+    (by parts; z J_0 + J_1 = 1) run backward from depth 10 + 800/z^2.  That
+    agrees with 50-digit mpmath within 5e-13 for 5 <= z < 38."""
+    rho, j = 0.0, 1.0
+    for m in range(10 + int(800.0 / (z * z)), 0, -1):
+        rho = m / (z + rho)
+        if m <= n:
+            j *= rho
+    return j / (z + rho)
+
+
 def _as_small_int(alpha: float) -> int:
     if float(alpha) in (1.0, 2.0, 3.0):
         return int(alpha)
     raise DomainError(f"series route needs alpha in {{1, 2, 3}}, got {alpha}")
 
 
-def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: int,
-                              tol: Tolerance = DEFAULT_TOL) -> float:
+def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: int) -> float:
     """E(eta - w)_+^alpha by conditioning on the Poisson count.
 
     Each count k contributes pmf(k) * E(sqrt(v) Z + y(k - theta) - w)_+^alpha
-    with the Gaussian slice in closed form.  Terms eventually decay faster
-    than geometrically (Poisson pmf ratio theta/(k+1) against polynomial
-    growth of the slice), so summation stops after two consecutive terms
-    fall below 1e-17 of the accumulated value.
+    with the Gaussian slice in closed form.  The slice is log-concave in k
+    (Prekopa), so :func:`tailbound.special._poisson_log_sum` sums the
+    series outward from its peak with a certified stop.
     """
     a = _as_small_int(alpha)
     if rv.v == 0.0:
-        return pos_moment_poisson_local(rv.theta, rv.y, w, float(a), tol)
+        return pos_moment_poisson_local(rv.theta, rv.y, w, float(a))
     if rv.theta == 0.0:
         return _gauss_partial_moment(rv.v, -w, a)
-    total = 0.0
-    tiny_run = 0
-    k = 0
-    while k <= 200_000:
-        pmf = math.exp(_poisson_logpmf(k, rv.theta))
-        term = pmf * _gauss_partial_moment(rv.v, rv.y * (k - rv.theta) - w, a)
-        total += term
-        if k > rv.theta:
-            if term <= 1e-17 * total + tol.abs:
-                tiny_run += 1
-                if tiny_run >= 2:
-                    return total
-            else:
-                tiny_run = 0
-        k += 1
-    raise NumericalError("mixture series did not terminate", estimate=total)
+    v, y, theta = rv.v, rv.y, rv.theta
+    return math.exp(_poisson_log_sum(
+        theta, lambda k: _gauss_partial_moment(v, y * (k - theta) - w, a)))
 
 
 def _geometric_edges(t_lo: float, t_hi: float) -> list[float]:
@@ -333,13 +336,14 @@ def pos_moment_charfn(cf: Callable[[float], complex], moments: Sequence[float],
     return _clamp_nonneg(value, err_total, tol, "pos_moment_charfn")
 
 
-def pos_moment_poisson_local(theta: float, y: float, w: float, alpha: float,
-                             tol: Tolerance = DEFAULT_TOL) -> float:
+def pos_moment_poisson_local(theta: float, y: float, w: float,
+                             alpha: float) -> float:
     """E(y (Pois(theta) - theta) - w)_+^alpha by direct lattice summation.
 
     Only counts k with y (k - theta) > w contribute, so the sum starts at
-    k0 = floor(w/y + theta) + 1 and runs until the certified geometric
-    remainder bound dies; fractional alpha costs nothing here.
+    k0 = floor(w/y + theta) + 1; (y (k - theta) - w)^alpha is log-concave
+    there, so :func:`tailbound.special._poisson_log_sum` applies and
+    fractional alpha costs nothing.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -349,25 +353,8 @@ def pos_moment_poisson_local(theta: float, y: float, w: float, alpha: float,
         raise DomainError(f"y must be positive, got {y}")
     if theta == 0.0:
         return max(-w, 0.0) ** alpha
-    k0 = max(0, math.floor(w / y + theta) + 1)
-    total = 0.0
-    k = k0
-    while k <= 500_000:
-        g = y * (k - theta) - w
-        if g > 0.0:
-            term = math.exp(_poisson_logpmf(k, theta) + alpha * math.log(g))
-            total += term
-            if k > theta:
-                # ratio of consecutive terms: pmf ratio times growth of g^alpha
-                r = theta / (k + 1.0) * ((g + y) / g) ** alpha
-                if r < 0.5:
-                    remaining = term * r / (1.0 - r)
-                    if remaining <= tol.abs + 1e-18 * total:
-                        return total
-                if term == 0.0:
-                    return total
-        k += 1
-    raise NumericalError("poisson local sum did not terminate", estimate=total)
+    return math.exp(_poisson_log_sum(theta, lambda k: max(y * (k - theta) - w, 0.0) ** alpha,
+                                     max(0, math.floor(w / y + theta) + 1)))
 
 
 # Cumulants of the mixture: kappa_2 = v + y^2 theta, kappa_m = y^m theta
@@ -405,14 +392,15 @@ def _two_point_exact(rv: TwoPointRV, w: float, alpha: float) -> float:
 
 def _route(rv: MixtureRV | TwoPointRV, alpha: float,
            method: PosMomentMethod | None = None) -> str:
-    """The route :func:`pos_moment` takes: the tag of ``method`` when one
-    is forced, otherwise "exact" for two-point laws, "poisson-local" for
+    """The route :func:`pos_moment` takes: "exact" for two-point laws
+    unless a contour route is forced (a forced series is the exact sum),
+    otherwise the tag of ``method`` when one is forced, "poisson-local" for
     pure-Poisson mixtures (v = 0), "series" for alpha in {1, 2, 3} and
     "laplace" for any other power."""
+    if isinstance(rv, TwoPointRV) and (method is None or method.tag == "series"):
+        return "exact"
     if method is not None:
         return method.tag
-    if isinstance(rv, TwoPointRV):
-        return "exact"
     if rv.v == 0.0:
         return "poisson-local"
     return "series" if float(alpha) in (1.0, 2.0, 3.0) else "laplace"
@@ -433,14 +421,14 @@ def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
     if not isinstance(rv, (MixtureRV, TwoPointRV)):
         raise DomainError(f"unsupported law {type(rv).__name__}")
     route = _route(rv, alpha, method)
+    if route == "exact":
+        return _two_point_exact(rv, w, alpha)
     if isinstance(rv, TwoPointRV):
-        if route in ("exact", "series"):
-            return _two_point_exact(rv, w, alpha)
         return _two_point_integral(rv, w, alpha, method, tol)
     if route == "poisson-local":
-        return pos_moment_poisson_local(rv.theta, rv.y, w, alpha, tol)
+        return pos_moment_poisson_local(rv.theta, rv.y, w, alpha)
     if route == "series":
-        return pos_moment_mixture_series(rv, w, _as_small_int(alpha), tol)
+        return pos_moment_mixture_series(rv, w, _as_small_int(alpha))
     if route == "laplace":
         s = method.s if method is not None and method.s is not None \
             else _default_abscissa(rv.y)

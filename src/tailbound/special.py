@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, NumericalError
 
@@ -36,7 +38,7 @@ class Tolerance:
     """Accuracy budget threaded through the iterative routines.
 
     rel and abs are the relative and absolute error targets, max_iter caps
-    iteration counts of root finders and series summations.
+    the iterations of root finders.
     """
 
     rel: float = 1e-10
@@ -137,15 +139,70 @@ def _poisson_logpmf(k: int, theta: float) -> float:
     return -theta + k * math.log(theta) - math.lgamma(k + 1.0)
 
 
-def poisson_tail(theta: float, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
+# Terms one Poisson-count sum may take.  A sum needs about 18 sqrt(theta)
+# terms around its peak, so this covers theta up to about 2e8.
+_TERM_BUDGET = 1 << 18
+_NORMAL_MIN = sys.float_info.min
+
+
+def _poisson_log_sum(theta: float, f: Callable[[int], float],
+                     k_min: int = 0) -> float:
+    """log sum_{k >= k_min} P(Pois(theta) = k) f(k), for theta > 0 and f >= 0
+    nondecreasing and log-concave in k.
+
+    The term ratio theta/(k+1) * f(k+1)/f(k) is then nonincreasing in k, so
+    the terms rise to one peak, at or above the Poisson mode, and fall away
+    on both sides.  The peak is found by doubling and bisection on the sign
+    of that ratio; the sum walks up from it, then down, carrying each term
+    (in units of the peak term) from the last by the ratio, so only the peak
+    needs an lgamma.  Each side stops once its latest ratio r < 1 bounds the
+    rest, at most t r / (1 - r), by 1e-18 of the sum.  Values of f below the
+    smallest normal double count as zero (an absolute error below 1e-307).
+    Raises NumericalError past _TERM_BUDGET terms.
+    """
+    def rising(k: int) -> bool:
+        fk = f(k)
+        return fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk
+
+    peak, step = max(k_min, math.floor(theta)), 1
+    if rising(peak):
+        while rising(peak + step):
+            peak, step = peak + step, 2 * step
+        hi = peak + step
+        while hi - peak > 1:
+            mid = (peak + hi) // 2
+            peak, hi = (mid, hi) if rising(mid) else (peak, mid)
+        peak = hi
+    f_peak, total, terms = f(peak), 1.0, 0
+    for step in (1, -1):
+        t, f_prev, k = 1.0, f_peak, peak
+        while step > 0 or k > k_min:
+            r = theta / (k + 1) if step > 0 else k / theta
+            k += step
+            fk = f(k)
+            if fk < _NORMAL_MIN:
+                break
+            r *= fk / f_prev
+            t *= r
+            total += t
+            terms += 1
+            if r < 1.0 and t * r <= 1e-18 * total * (1.0 - r):
+                break
+            if terms > _TERM_BUDGET:
+                raise NumericalError(
+                    f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms",
+                    estimate=math.exp(_poisson_logpmf(peak, theta)) * f_peak * total)
+            f_prev = fk
+    return _poisson_logpmf(peak, theta) + math.log(f_peak) + math.log(total)
+
+
+def poisson_tail(theta: float, u: float) -> float:
     """Survival function P(Pois(theta) >= u) of a Poisson random variable.
 
     Exactly 1 for u <= 0 and, when theta = 0, the indicator of u <= 0.
-    In the right tail (ceil(u) > theta) the series is summed upward from
-    ceil(u) in log space, which keeps full relative accuracy for
-    probabilities far below machine epsilon; otherwise the complementary
-    head is summed, where the result is of order one and absolute accuracy
-    is what matters.
+    Otherwise the pmf over k >= ceil(u) is summed by
+    :func:`_poisson_log_sum`, which keeps full relative accuracy for
+    probabilities far below machine epsilon.
     """
     if not math.isfinite(theta) or theta < 0.0:
         raise DomainError(f"poisson_tail requires theta >= 0, got {theta}")
@@ -155,51 +212,16 @@ def poisson_tail(theta: float, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return 1.0
     if theta == 0.0:
         return 0.0
-    k0 = int(math.ceil(u))
-    if k0 <= theta:
-        head = 0.0
-        for k in range(k0):
-            head += math.exp(_poisson_logpmf(k, theta))
-        return min(1.0, max(0.0, 1.0 - head))
-    # Upward sum from k0.  Terms decay at least geometrically with ratio
-    # theta / (k + 1) < 1, so the remainder after k is below
-    # term * r / (1 - r); stop once that certified bound is negligible.
-    total = 0.0
-    term = math.exp(_poisson_logpmf(k0, theta))
-    k = k0
-    for _ in range(max(tol.max_iter, 100_000)):
-        total += term
-        r = theta / (k + 1.0)
-        bound = term * r / (1.0 - r) if r < 1.0 else math.inf
-        if bound <= tol.abs + 1e-18 * total:
-            return total
-        k += 1
-        term *= theta / k
-    raise NumericalError("poisson_tail series did not converge", estimate=total)
+    return min(1.0, math.exp(_poisson_log_sum(theta, lambda k: 1.0, math.ceil(u))))
 
 
-def poisson_log_tail(theta: float, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def poisson_log_tail(theta: float, u: float) -> float:
     """log P(Pois(theta) >= u), finite even where the tail itself underflows."""
     if u <= 0.0:
         return 0.0
     if theta <= 0.0:
         return -math.inf
-    k0 = int(math.ceil(u))
-    if k0 <= theta:
-        return math.log(poisson_tail(theta, u, tol))
-    # log-space upward sum: factor out the first term.
-    lead = _poisson_logpmf(k0, theta)
-    rest = 0.0
-    factor = 1.0
-    k = k0
-    for _ in range(max(tol.max_iter, 100_000)):
-        r = theta / (k + 1.0)
-        factor *= r
-        if factor <= 1e-20 * (1.0 + rest):
-            break
-        rest += factor
-        k += 1
-    return lead + math.log1p(rest)
+    return min(0.0, _poisson_log_sum(theta, lambda k: 1.0, math.ceil(u)))
 
 
 def normal_tail(v: float, x: float) -> float:

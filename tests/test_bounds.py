@@ -21,6 +21,7 @@ from tailbound import (
     bh,
     bh_exp,
     be,
+    bounds,
     ca,
     c_const,
     ea,
@@ -216,6 +217,17 @@ def test_p_alpha_reports_route():
     assert be(P_SMALL, 2.0).method == "poisson-local"
 
 
+def test_p_alpha_reports_exact_for_two_point_series():
+    # A forced series on a two-point law runs the exact two-term sum.
+    from tailbound import PosMomentMethod
+    tp = TwoPointRV(1.0, 3.0)
+    forced = p_alpha(tp, 2.0, 1.0, method=PosMomentMethod.series())
+    assert forced.method == "exact"
+    assert forced.value == p_alpha(tp, 2.0, 1.0).value
+    from tailbound.posmoments import _route
+    assert _route(tp, 2.0, PosMomentMethod.laplace()) == "laplace"
+
+
 def test_p_alpha_strictly_decreasing_in_x():
     rv = P_SMALL.mixture()
     vals = [p_alpha(rv, 3.0, 0.3 * i).value for i in range(1, 14)]
@@ -254,11 +266,20 @@ def test_be_pin_frozen_values():
                                                   rel=1e-9)
 
 
-def test_pin_bracket_without_sign_change_is_numerical_error():
-    # m(t) - x is about -3.5e-11 at the right end of the t_x bracket, so
-    # Brent's bracket check fails; that is a numerical failure, not bad input.
+def test_pin_bracket_without_sign_change_is_numerical_error(monkeypatch):
+    # An m(t) that stays below x leaves no sign change on the t_x bracket,
+    # so Brent's bracket check fails; that is a numerical failure, not bad
+    # input.
+    monkeypatch.setattr(bounds, "m_function", lambda rv, alpha, t, tol: t)
     with pytest.raises(NumericalError):
         pin(BoundParams(1.0, 0.1, 0.1), 35.0)
+
+
+def test_pin_deep_tail_value():
+    # 35 standard deviations out, at theta = 10; mpmath (benchmark
+    # reference, golden section on P_3) gives 2.18704990305284e-222.
+    assert pin(BoundParams(1.0, 0.1, 0.1), 35.0).value == pytest.approx(
+        2.18704990305e-222, rel=1e-9)
 
 
 def test_pin_method_override_consistency():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import tailbound
-from tailbound import BoundParams, bh, pin, pu
+from tailbound import BoundParams, NumericalError, bh, bounds, pin, pu
 from tailbound.cli import run
 
 
@@ -84,9 +84,9 @@ def test_eval_missing_flag_is_usage_error(capsys, bound, flag):
 
 
 def test_eval_numerical_failure_exits_one(capsys):
-    # pin's t_x bracket has no sign change at this deep-tail point.
+    # At x = 50 the moments behind pin's m(t) underflow ("vanished").
     assert run(["eval", "--bound", "pin", "--sigma", "1", "--y", "0.1",
-                "--eps", "0.1", "--x", "35"]) == 1
+                "--eps", "0.1", "--x", "50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -123,6 +123,15 @@ def test_sweep_rejects_bad_grid(capsys):
     base = ["sweep", "--bound", "bh", "--sigma", "1", "--y", "1"]
     assert run(base + ["--x-min", "2", "--x-max", "1", "--points", "5"]) == 2
     assert run(base + ["--x-min", "0", "--x-max", "1", "--points", "1"]) == 2
+
+
+def test_sweep_failing_row_prints_nothing(capsys):
+    # ea rejects x = 0, the first point of this grid.
+    assert run(["sweep", "--bound", "ea", "--x-min", "0", "--x-max", "2",
+                "--points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_sweep_parametric_traces_pin(capsys):
@@ -168,6 +177,18 @@ def test_compare_table_contract(capsys):
         if vbh > 1e-290 and vbe > 1e-290:
             assert float(r[7]) == pytest.approx(math.log10(vbe / vbh),
                                                 abs=1e-9)
+
+
+def test_compare_failing_row_prints_nothing(capsys, monkeypatch):
+    def pin_failing_late(params, x, **kwargs):
+        if x > 2.0:
+            raise NumericalError("deep point")
+        return pin(params, x, **kwargs)
+
+    monkeypatch.setattr(bounds, "pin", pin_failing_late)
+    assert run(["compare", "--sigma", "1", "--y", "1", "--eps", "0.1",
+                "--x-max", "4", "--points", "5"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_requires_full_triple(capsys):

@@ -137,10 +137,18 @@ def test_mixture_tail_agrees_with_monte_carlo():
 
 
 def test_mixture_tail_unterminated_series_is_numerical_error():
-    # theta = 5e5 puts the Poisson mass past the series' 200 000-term cap.
+    # theta ~ 5.6e8 needs ~4e5 terms around the Poisson peak, past the
+    # budget of one Poisson-count sum.
     with pytest.raises(NumericalError) as info:
-        mixture_tail(BoundParams(1.0, 1e-3, 0.5).mixture(), 2.0)
+        mixture_tail(BoundParams(1.0, 3e-5, 0.5).mixture(), 2.0)
     assert info.value.estimate is not None
+
+
+def test_mixture_tail_large_theta_value():
+    # theta = 5e5: mpmath over k in theta +- 15000 gives 0.0227636285641373.
+    # lgamma near k = 5e5 costs ~1e-9 relative in each pmf.
+    assert mixture_tail(BoundParams(1.0, 1e-3, 0.5).mixture(), 2.0) == \
+        pytest.approx(0.0227636285641373, rel=1e-8)
 
 
 def test_mixture_tail_decreasing_in_x():

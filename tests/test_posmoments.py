@@ -3,12 +3,14 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles as oracles
 from tailbound import (
+    BoundParams,
     DomainError,
     MixtureRV,
     PosMomentMethod,
@@ -22,7 +24,7 @@ from tailbound import (
     pos_moment_mixture_series,
     pos_moment_poisson_local,
 )
-from tailbound.posmoments import _gauss_partial_moment
+from tailbound.posmoments import _gauss_partial_moment, _mills_moment
 
 MIX = MixtureRV(0.9, 1.0, 0.1)
 
@@ -51,6 +53,43 @@ def test_gauss_partial_moment_closed_forms(v, mu, alpha):
         oracles.normal_partial_moment_quad(v, mu, alpha), rel=1e-10, abs=1e-13)
 
 
+def _gauss_partial_moment_mp(v, mu, alpha):
+    # The closed forms at 50 digits, where their cancellation is harmless.
+    with mpmath.workdps(50):
+        v, mu = mpmath.mpf(v), mpmath.mpf(mu)
+        s = mpmath.sqrt(v)
+        q = mpmath.erfc(-mu / (s * mpmath.sqrt(2))) / 2
+        phi = mpmath.npdf(mu / s)
+        if alpha == 1:
+            out = s * phi + mu * q
+        elif alpha == 2:
+            out = (v + mu * mu) * q + s * mu * phi
+        else:
+            out = mu * (3 * v + mu * mu) * q + s * (2 * v + mu * mu) * phi
+        return float(out)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_mills_moment_continued_fraction(alpha):
+    # phi(z) J_alpha(z) = E(Z - z)_+^alpha, for every z where the closed
+    # form cancels and phi(z) is still representable.
+    for i in range(65):
+        z = 5.0 + 0.5 * i
+        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        assert phi * _mills_moment(z, alpha) == pytest.approx(
+            _gauss_partial_moment_mp(1.0, -z, alpha), rel=5e-13)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_gauss_partial_moment_deep_slices(alpha):
+    # Past z0 = 5 the slice keeps full precision; the closed form alone is
+    # off by 4.4e-9 at z0 = 12.6, alpha = 3.
+    for z0 in (5.3, 8.4, 12.6, 17.0, 25.0, 37.0):
+        mu = -z0 * math.sqrt(0.9)
+        assert _gauss_partial_moment(0.9, mu, alpha) == pytest.approx(
+            _gauss_partial_moment_mp(0.9, mu, alpha), rel=5e-13)
+
+
 def test_gauss_partial_moment_degenerate():
     assert _gauss_partial_moment(0.0, 2.0, 3) == 8.0
     assert _gauss_partial_moment(0.0, -2.0, 3) == 0.0
@@ -69,6 +108,17 @@ def test_series_against_quadrature(rv, w, alpha):
     got = pos_moment_mixture_series(rv, w, alpha)
     ref = oracles.mixture_pos_moment_quad(rv.v, rv.y, rv.theta, w, float(alpha))
     assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("w,want", [
+    (12.0, 2.0998929649061960906e-27),
+    (14.0, 5.6711072484091843083e-35),
+])
+def test_series_deep_shift_against_mpmath(w, want):
+    # The Poisson mass behind these moments sits far above theta = 90; a
+    # sum from k = 0 with a relative stop returned 1.9e-315 and 0 here.
+    rv = BoundParams(1.0, 0.1, 0.9).mixture()
+    assert pos_moment(rv, w, 2) == pytest.approx(want, rel=1e-12)
 
 
 def test_series_pure_gaussian_slice():

@@ -21,6 +21,8 @@ from tailbound import (
     poisson_log_tail,
     poisson_tail,
 )
+from tailbound.posmoments import _gauss_partial_moment
+from tailbound.special import _poisson_log_sum
 
 
 def test_tolerance_defaults():
@@ -255,3 +257,37 @@ def test_exp_remainder_peeling_identity(j, u):
 def test_exp_remainder_unsupported_order():
     with pytest.raises(DomainError):
         exp_remainder(4, 1.0)
+
+
+def _brute_log_sum(theta, f, k_min, k_max):
+    return math.log(math.fsum(
+        math.exp(-theta + k * math.log(theta) - math.lgamma(k + 1.0)) * f(k)
+        for k in range(k_min, k_max)))
+
+
+@given(st.floats(min_value=0.05, max_value=40.0),
+       st.floats(min_value=0.2, max_value=2.0),
+       st.floats(min_value=0.1, max_value=2.0),
+       st.floats(min_value=-3.0, max_value=6.0),
+       st.integers(min_value=1, max_value=3))
+def test_poisson_log_sum_matches_brute_force(theta, y, v, w, alpha):
+    # The four log-concave weights the package sums, against math.fsum over
+    # every count up to well past the peak.
+    k_max = int(theta + abs(w) / y + 40.0 * math.sqrt(theta) + 200)
+    k_local = max(0, math.floor(w / y + theta) + 1)
+    k_tail = max(0, math.ceil(theta + w))
+
+    def local(k):
+        g = y * (k - theta) - w
+        return g ** alpha if g > 0.0 else 0.0
+
+    cases = [
+        (lambda k: 1.0, k_tail),
+        (local, k_local),
+        (lambda k: normal_tail(v, w - y * (k - theta)), 0),
+        (lambda k: _gauss_partial_moment(v, y * (k - theta) - w, alpha), 0),
+    ]
+    for f, k_min in cases:
+        got = _poisson_log_sum(theta, f, k_min)
+        want = _brute_log_sum(theta, f, k_min, k_max)
+        assert math.exp(got - want) == pytest.approx(1.0, abs=1e-13)
