@@ -27,15 +27,13 @@ from .posmoments import (PosMomentMethod, SlowDecayWarning,
                          mixture_shifted_moments, pos_moment,
                          pos_moment_charfn, pos_moment_laplace,
                          pos_moment_mixture_series, pos_moment_poisson_local)
-from .special import (DEFAULT_TOL, Tolerance, bennett_psi, exp_remainder,
-                      lambert_w0, lambert_w0_log, normal_tail,
-                      poisson_log_tail, poisson_tail)
+from .special import (bennett_psi, exp_remainder, lambert_w0, lambert_w0_log,
+                      normal_tail, poisson_log_tail, poisson_tail)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Tolerance", "DEFAULT_TOL",
     "TailboundError", "DomainError", "RangeError", "NumericalError",
     "ConstructionError",
     "lambert_w0", "lambert_w0_log", "bennett_psi", "poisson_tail",

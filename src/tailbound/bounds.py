@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
 from .posmoments import PosMomentMethod, _gauss_partial_moment, _route, pos_moment
-from .special import (DEFAULT_TOL, Tolerance, bennett_psi, exp_remainder,
+from .special import (_ABS_TOL, _MAX_ITER, _REL_TOL, bennett_psi, exp_remainder,
                       lambert_w0_log, poisson_log_tail)
 
 __all__ = [
@@ -112,7 +112,7 @@ def bh_exp(sigma: float, y: float, lam: float) -> float:
     sigma^2 / y^2)."""
     _check_pos("sigma", sigma)
     _check_pos("y", y)
-    if lam < 0.0:
+    if not (lam >= 0.0):
         raise DomainError(f"lambda must be >= 0, got {lam}")
     u = lam * y
     if u > _MAX_EXP_ARG:
@@ -123,7 +123,7 @@ def bh_exp(sigma: float, y: float, lam: float) -> float:
 def pu_exp(params: BoundParams, lam: float) -> float:
     """E exp(lam eta) for the comparison mixture: the Gaussian factor
     exp(lam^2 (1-eps) sigma^2 / 2) times the centered-Poisson factor."""
-    if lam < 0.0:
+    if not (lam >= 0.0):
         raise DomainError(f"lambda must be >= 0, got {lam}")
     u = lam * params.y
     if u > _MAX_EXP_ARG:
@@ -140,8 +140,7 @@ def _pu_exponent(params: BoundParams, lam: float, x: float) -> float:
             + eps * s2 / (y * y) * exp_remainder(1, u))
 
 
-def pu(params: BoundParams, x: float,
-       tol: Tolerance = DEFAULT_TOL) -> TailBoundResult:
+def pu(params: BoundParams, x: float) -> TailBoundResult:
     """inf_lam e^{-lam x} pu_exp(lam) in closed form.
 
     Setting the derivative to zero gives, with q = x y / sigma^2,
@@ -158,7 +157,7 @@ def pu(params: BoundParams, x: float,
     delta = 1.0 - eps  # exact: eps in (0.5, 1) keeps the subtraction lossless
     q = x * y / s2
     a_arg = (q + eps) / delta
-    w_x = lambert_w0_log(math.log(eps / delta) + a_arg, tol)
+    w_x = lambert_w0_log(math.log(eps / delta) + a_arg)
     # The raw exponent ((delta (w+1))^2 - (q+eps)^2 - (1-eps^2)) / (2 delta)
     # cancels catastrophically as eps -> 1; factoring the difference of
     # squares and eliminating delta (w+1) - (q+eps) = delta (1 + ln(eps/
@@ -173,8 +172,7 @@ def pu(params: BoundParams, x: float,
     return TailBoundResult(value, lam, "closed-form")
 
 
-def pu_numeric(params: BoundParams, x: float,
-               tol: Tolerance = DEFAULT_TOL) -> TailBoundResult:
+def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
     """inf_lam e^{-lam x} pu_exp(lam) by direct root-finding on the
     derivative; the independent check of :func:`pu`.
 
@@ -197,13 +195,12 @@ def pu_numeric(params: BoundParams, x: float,
     if deriv(hi) < 0.0:
         raise NumericalError("no sign change for the PU optimizer")
     from scipy.optimize import brentq
-    lam = brentq(deriv, 0.0, hi, rtol=1e-14, maxiter=tol.max_iter)
+    lam = brentq(deriv, 0.0, hi, rtol=1e-14, maxiter=_MAX_ITER)
     value = math.exp(min(_pu_exponent(params, lam, x), 0.0))
     return TailBoundResult(value, lam, "root-solve")
 
 
-def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float,
-               tol: Tolerance = DEFAULT_TOL) -> float:
+def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
     """m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1}.
 
     Strictly increasing in t up to the point where it saturates at the
@@ -212,9 +209,9 @@ def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float,
     """
     if not (alpha > 1.0):
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    num = pos_moment(rv, t, alpha, tol=tol)
-    den = pos_moment(rv, t, alpha - 1.0, tol=tol)
-    if den <= tol.abs:
+    num = pos_moment(rv, t, alpha)
+    den = pos_moment(rv, t, alpha - 1.0)
+    if den <= _ABS_TOL:
         raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
     return t + num / den
 
@@ -223,8 +220,7 @@ def _support_sup(rv: MixtureRV | TwoPointRV) -> float:
     return rv.b if isinstance(rv, TwoPointRV) else math.inf
 
 
-def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> float:
     """The unique t with m(t) = x, for x strictly between the mean and the
     support supremum.
 
@@ -239,7 +235,7 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
     sd = rv.stddev if isinstance(rv, MixtureRV) else math.sqrt(rv.second_moment)
     right = x - 1e-12 * max(1.0, abs(x))
     off = 4.0 * sd
-    g = lambda t: m_function(rv, alpha, t, tol) - x
+    g = lambda t: m_function(rv, alpha, t) - x
     while g(x - off) > 0.0:
         off *= 2.0
         if off > 1e12 * sd:
@@ -247,7 +243,7 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
     from scipy.optimize import brentq
     try:
         return float(brentq(g, x - off, right, rtol=1e-12,
-                            xtol=1e-12 * max(1.0, abs(x), sd), maxiter=tol.max_iter))
+                            xtol=1e-12 * max(1.0, abs(x), sd), maxiter=_MAX_ITER))
     except DomainError:
         raise
     except ValueError as exc:  # brentq's bracket check
@@ -256,8 +252,7 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
 
 
 def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
-            method: PosMomentMethod | None = None,
-            tol: Tolerance = DEFAULT_TOL) -> TailBoundResult:
+            method: PosMomentMethod | None = None) -> TailBoundResult:
     """The generalized-moment tail bound
 
         P_alpha(eta; x) = inf_{t < x} E(eta - t)_+^alpha / (x - t)^alpha.
@@ -276,9 +271,9 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
     if x >= x_star:
         atom = rv.prob_pos if (isinstance(rv, TwoPointRV) and x == x_star) else 0.0
         return TailBoundResult(atom, math.nan, "boundary")
-    t_x = solve_t_x(rv, alpha, x, tol)
-    e_hi = pos_moment(rv, t_x, alpha, method=method, tol=tol)
-    e_lo = pos_moment(rv, t_x, alpha - 1.0, method=method, tol=tol)
+    t_x = solve_t_x(rv, alpha, x)
+    e_hi = pos_moment(rv, t_x, alpha, method=method)
+    e_lo = pos_moment(rv, t_x, alpha - 1.0, method=method)
     value = e_hi / (x - t_x) ** alpha
     # Same quantity written without x, exact when m(t_x) = x holds exactly.
     if e_hi > 0.0 and e_lo > 0.0:
@@ -291,25 +286,24 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
 
 
 def be(params: BoundParams, x: float,
-       method: PosMomentMethod | None = None,
-       tol: Tolerance = DEFAULT_TOL) -> TailBoundResult:
+       method: PosMomentMethod | None = None) -> TailBoundResult:
     """Bentkus bound: P_2 of the scaled centered Poisson with the full
     variance budget, y tilde-Pi_{sigma^2/y^2}."""
     _check_nonneg_x(x)
-    return p_alpha(params.bentkus(), 2.0, x, method=method, tol=tol)
+    return p_alpha(params.bentkus(), 2.0, x, method=method)
 
 
 def pin(params: BoundParams, x: float,
-        method: PosMomentMethod | None = None,
-        tol: Tolerance = DEFAULT_TOL) -> TailBoundResult:
+        method: PosMomentMethod | None = None) -> TailBoundResult:
     """The class-F3 bound: P_3 of the Gaussian-plus-Poisson mixture."""
     _check_nonneg_x(x)
-    return p_alpha(params.mixture(), 3.0, x, method=method, tol=tol)
+    return p_alpha(params.mixture(), 3.0, x, method=method)
 
 
 def ca(sigma: float, x: float) -> float:
     """Cantelli: sigma^2 / (sigma^2 + x^2); 1 for x < 0."""
     _check_pos("sigma", sigma)
+    _check_finite_x(x)
     if x <= 0.0:
         return 1.0
     return sigma * sigma / (sigma * sigma + x * x)
@@ -319,6 +313,7 @@ def en(sigma: float, x: float) -> float:
     """Best exponential bound for the pure Gaussian: exp(-x^2/(2 sigma^2));
     1 for x < 0."""
     _check_pos("sigma", sigma)
+    _check_finite_x(x)
     if x <= 0.0:
         return 1.0
     return math.exp(-x * x / (2.0 * sigma * sigma))
@@ -347,6 +342,8 @@ def plc_poisson_tail(theta: float, u: float) -> float:
     the tail at integer u and is 1 for u <= 0.
     """
     _check_pos("theta", theta)
+    if not math.isfinite(u):
+        raise DomainError(f"u must be finite, got {u}")
     if u <= 0.0:
         return 1.0
     j = math.ceil(u - 1.0)
@@ -362,8 +359,7 @@ def plc_poisson_tail(theta: float, u: float) -> float:
     return math.exp(log_val)
 
 
-def plc_mixture_upper(params: BoundParams, x: float,
-                      tol: Tolerance = DEFAULT_TOL) -> float:
+def plc_mixture_upper(params: BoundParams, x: float) -> float:
     """Upper bound on the log-concave majorant of the mixture tail:
     integrate the Poisson majorant against the Gaussian component,
 
@@ -373,8 +369,7 @@ def plc_mixture_upper(params: BoundParams, x: float,
     [x - 10 sqrt(v), x + 10 sqrt(v)] is split there before adaptive
     quadrature.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _check_finite_x(x)
     from ._quadrature import adaptive_quad
 
     rv = params.mixture()
@@ -398,15 +393,14 @@ def plc_mixture_upper(params: BoundParams, x: float,
     knots = sorted(set(kn for kn in knots if z_lo <= kn <= z_hi))
     total = 0.0
     for a, b in zip(knots, knots[1:]):
-        total += adaptive_quad(f, a, b, rel=tol.rel * 0.1,
+        total += adaptive_quad(f, a, b, rel=_REL_TOL * 0.1,
                                abs_tol=1e-16 / max(1, len(knots)))[0]
     return min(1.0, max(0.0, total))
 
 
-def lc3_bound(params: BoundParams, x: float,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+def lc3_bound(params: BoundParams, x: float) -> float:
     """c_{3,0} times the log-concave majorant bound, clamped to 1."""
-    return min(1.0, c_const(3.0, 0.0) * plc_mixture_upper(params, x, tol))
+    return min(1.0, c_const(3.0, 0.0) * plc_mixture_upper(params, x))
 
 
 def effective_epsilon(summands: list[SummandBudget], y: float) -> EffectiveEpsilon:
@@ -440,8 +434,8 @@ def ea(x: float) -> float:
     By symmetry E(|Z| - t)_+^3 = 2 E(Z - t)_+^3 for t >= 0, with the
     Gaussian positive-part moment in closed form.
     """
-    if not (x > 0.0):
-        raise DomainError(f"x must be positive, got {x}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"x must be finite and positive, got {x}")
     from scipy.optimize import minimize_scalar
 
     def g(t: float) -> float:
@@ -455,8 +449,7 @@ def ea(x: float) -> float:
     return min(1.0, best)
 
 
-def alpha_x_split(params: BoundParams, x: float,
-                  tol: Tolerance = DEFAULT_TOL) -> float:
+def alpha_x_split(params: BoundParams, x: float) -> float:
     """The split point alpha_x in (eps, 1) at which PU factors exactly into
     a Gaussian EN piece at (1-alpha_x) x and a Poisson BH piece at
     alpha_x x.
@@ -476,12 +469,17 @@ def alpha_x_split(params: BoundParams, x: float,
                 - x / y * math.log1p(a * x * y / (eps * s2)))
 
     from scipy.optimize import brentq
-    return float(brentq(h, 0.0, 1.0, rtol=1e-15, maxiter=tol.max_iter))
+    return float(brentq(h, 0.0, 1.0, rtol=1e-15, maxiter=_MAX_ITER))
 
 
 def _check_pos(name: str, val: float) -> None:
     if not (math.isfinite(val) and val > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {val}")
+
+
+def _check_finite_x(x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
 
 
 def _check_nonneg_x(x: float) -> None:

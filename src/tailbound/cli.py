@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import bounds as bd
@@ -21,23 +20,23 @@ from .oracle import (TestFunction, enumerate_expectation, extremal_sum_spec,
                      hp_counterexample_gap, mc_expectation, mc_tail,
                      mixture_expectation_f, random_sum_spec)
 from .posmoments import PosMomentMethod, pos_moment
-from .special import DEFAULT_TOL, Tolerance, normal_tail, poisson_tail
+from .special import normal_tail, poisson_tail
 
 __all__ = ["run", "main"]
 
 # name -> (flags the bound consumes beyond --x, its value at x given the
-# parsed flags, the BoundParams built from them and the tolerance).  Each
-# entry looks its bound up in `bd` at call time, so a replaced module
-# attribute (a test double, a tracing wrapper) takes effect.
+# parsed flags and the BoundParams built from them).  Each entry looks its
+# bound up in `bd` at call time, so a replaced module attribute (a test
+# double, a tracing wrapper) takes effect.
 _BOUNDS = {
-    "bh": (("sigma", "y"), lambda a, p, x, tol: bd.bh(a.sigma, a.y, x).value),
-    "pu": (("sigma", "y", "eps"), lambda a, p, x, tol: bd.pu(p, x, tol).value),
-    "be": (("sigma", "y"), lambda a, p, x, tol: bd.be(p, x, tol=tol).value),
-    "pin": (("sigma", "y", "eps"), lambda a, p, x, tol: bd.pin(p, x, tol=tol).value),
-    "ca": (("sigma",), lambda a, p, x, tol: bd.ca(a.sigma, x)),
-    "en": (("sigma",), lambda a, p, x, tol: bd.en(a.sigma, x)),
-    "ea": ((), lambda a, p, x, tol: bd.ea(x)),
-    "lc3": (("sigma", "y", "eps"), lambda a, p, x, tol: bd.lc3_bound(p, x, tol)),
+    "bh": (("sigma", "y"), lambda a, p, x: bd.bh(a.sigma, a.y, x).value),
+    "pu": (("sigma", "y", "eps"), lambda a, p, x: bd.pu(p, x).value),
+    "be": (("sigma", "y"), lambda a, p, x: bd.be(p, x).value),
+    "pin": (("sigma", "y", "eps"), lambda a, p, x: bd.pin(p, x).value),
+    "ca": (("sigma",), lambda a, p, x: bd.ca(a.sigma, x)),
+    "en": (("sigma",), lambda a, p, x: bd.en(a.sigma, x)),
+    "ea": ((), lambda a, p, x: bd.ea(x)),
+    "lc3": (("sigma", "y", "eps"), lambda a, p, x: bd.lc3_bound(p, x)),
 }
 _COMPARED = ("bh", "pu", "be", "pin", "ca", "en")
 _VS_BH = ("be", "pin", "pu")  # compare's log10(bound / bh) columns
@@ -57,25 +56,15 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        tol = _tol_from_env()
-        return args.func(args, tol)
+        if getattr(args, "digits", 0) < 0:
+            raise DomainError(f"--digits must be >= 0, got {args.digits}")
+        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TailboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _tol_from_env() -> Tolerance:
-    raw = os.environ.get("TAILBOUND_TOL_REL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        rel = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"TAILBOUND_TOL_REL is not a number: {raw!r}") from exc
-    return Tolerance(rel=rel, abs=DEFAULT_TOL.abs, max_iter=DEFAULT_TOL.max_iter)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,16 +140,16 @@ def _require(args: argparse.Namespace, needs: tuple[str, ...],
     return BoundParams(args.sigma, args.y, args.eps if "eps" in needs else 0.5)
 
 
-def _cmd_eval(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     needs, value_at = _BOUNDS[args.bound]
     params = _require(args, needs, f"--bound {args.bound}")
-    value = value_at(args, params, args.x, tol)
+    value = value_at(args, params, args.x)
     print("value")
     print(_fmt(value, args.digits))
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     if not (args.x_min < args.x_max):
         raise DomainError("--x-min must be below --x-max")
     if args.points < 2:
@@ -169,19 +158,18 @@ def _cmd_sweep(args: argparse.Namespace, tol: Tolerance) -> int:
     params = _require(args, needs, f"--bound {args.bound}")
     # Rows first, so a failing point leaves stdout empty, not a partial table.
     if args.parametric:
-        rows = list(_parametric_rows(args, params, tol))
+        rows = list(_parametric_rows(args, params))
     else:
         xs = (args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
               for i in range(args.points))
-        rows = [(x, value_at(args, params, x, tol)) for x in xs]
+        rows = [(x, value_at(args, params, x)) for x in xs]
     print("x,value")
     for x, v in rows:
         print(f"{_fmt(x, args.digits)},{_fmt(v, args.digits)}")
     return 0
 
 
-def _parametric_rows(args: argparse.Namespace, params: BoundParams,
-                     tol: Tolerance):
+def _parametric_rows(args: argparse.Namespace, params: BoundParams):
     """Sweep the shift t = u - 1/u on a uniform u grid instead of solving
     t_x per point: each row is (m(t), E(eta-t)_+^a / (m(t)-t)^a), which
     traces the same curve with two root solves total instead of one per
@@ -193,7 +181,7 @@ def _parametric_rows(args: argparse.Namespace, params: BoundParams,
         raise DomainError("parametric sweeps need 0 < x-min")
 
     def u_of_x(x: float) -> float:
-        t = bd.solve_t_x(rv, alpha, x, tol)
+        t = bd.solve_t_x(rv, alpha, x)
         # invert t = u - 1/u for the positive branch
         return 0.5 * (t + math.sqrt(t * t + 4.0))
 
@@ -201,12 +189,12 @@ def _parametric_rows(args: argparse.Namespace, params: BoundParams,
     for i in range(args.points):
         u = u_lo + (u_hi - u_lo) * i / (args.points - 1)
         t = u - 1.0 / u
-        x = bd.m_function(rv, alpha, t, tol)
-        val = min(1.0, pos_moment(rv, t, alpha, tol=tol) / (x - t) ** alpha)
+        x = bd.m_function(rv, alpha, t)
+        val = min(1.0, pos_moment(rv, t, alpha) / (x - t) ** alpha)
         yield x, val
 
 
-def _cmd_compare(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     params = _require(args, ("sigma", "y", "eps"), "compare")
     if args.points < 2:
         raise DomainError("--points must be at least 2")
@@ -214,7 +202,7 @@ def _cmd_compare(args: argparse.Namespace, tol: Tolerance) -> int:
     rows = []  # all computed before the header, as in sweep
     for i in range(args.points):
         x = args.x_max * i / (args.points - 1)
-        v = {name: _BOUNDS[name][1](args, params, x, tol) for name in _COMPARED}
+        v = {name: _BOUNDS[name][1](args, params, x) for name in _COMPARED}
         rows.append([x, *v.values()] + [math.log10(max(v[name], floor) / max(v["bh"], floor))
                                         for name in _VS_BH])
     print(",".join(["x", *_COMPARED, *(f"log10_{name}_bh" for name in _VS_BH)]))
@@ -223,11 +211,11 @@ def _cmd_compare(args: argparse.Namespace, tol: Tolerance) -> int:
     return 0
 
 
-def _cmd_extremal(args: argparse.Namespace, tol: Tolerance) -> int:
+def _cmd_extremal(args: argparse.Namespace) -> int:
     params = _require(args, ("sigma", "y", "eps"), "extremal")
-    spec = extremal_sum_spec(params, args.m, tol)
+    spec = extremal_sum_spec(params, args.m)
     est = mc_tail(spec, args.x, args.samples, args.seed)
-    vpin = bd.pin(params, args.x, tol=tol).value
+    vpin = bd.pin(params, args.x).value
     d = args.digits
     print("m,x,n,seed,p_hat,stderr,pin")
     print(f"{args.m},{_fmt(args.x, d)},{est.n},{est.seed},"
@@ -235,10 +223,10 @@ def _cmd_extremal(args: argparse.Namespace, tol: Tolerance) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, tol: Tolerance) -> int:
-    checks = _quick_checks(args.seed, tol)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    checks = _quick_checks(args.seed)
     if args.suite == "full":
-        checks += _full_checks(args.seed, tol)
+        checks += _full_checks(args.seed)
     failures = 0
     print("check,status")
     for name, fn in checks:
@@ -255,7 +243,7 @@ def _cmd_validate(args: argparse.Namespace, tol: Tolerance) -> int:
     return 0
 
 
-def _comparison_holds(funcs, cases, tol: Tolerance) -> bool:
+def _comparison_holds(funcs, cases) -> bool:
     """E f(S) <= E f(eta) for every f in ``funcs`` on the random sum
     random_sum_spec(n, seed) of each (n, seed) in ``cases``."""
     for n, seed in cases:
@@ -263,13 +251,13 @@ def _comparison_holds(funcs, cases, tol: Tolerance) -> bool:
         params = spec.aggregate_params()
         for f in funcs:
             lhs = enumerate_expectation(spec, f)
-            rhs = mixture_expectation_f(params, f, tol)
+            rhs = mixture_expectation_f(params, f)
             if lhs > rhs * (1.0 + 1e-6):
                 return False
     return True
 
 
-def _quick_checks(seed: int, tol: Tolerance):
+def _quick_checks(seed: int):
     p = BoundParams(1.0, 1.0, 0.5)
     mix = BoundParams(1.0, 1.0, 0.1).mixture()
 
@@ -279,8 +267,8 @@ def _quick_checks(seed: int, tol: Tolerance):
                 for eps in (0.2, 0.8):
                     pp = BoundParams(sig, y, eps)
                     for x in (0.5, 2.0, 5.0):
-                        a = bd.pu(pp, x, tol).value
-                        b = bd.pu_numeric(pp, x, tol).value
+                        a = bd.pu(pp, x).value
+                        b = bd.pu_numeric(pp, x).value
                         if abs(a - b) > 1e-8 * b:
                             return False
         return True
@@ -290,9 +278,9 @@ def _quick_checks(seed: int, tol: Tolerance):
         for i in range(8):
             x = 0.5 * (i + 1)
             vbh = bd.bh(1.0, 1.0, x).value
-            vpu = bd.pu(pp, x, tol).value
-            vpin = bd.pin(pp, x, tol=tol).value
-            vbe = bd.be(pp, x, tol=tol).value
+            vpu = bd.pu(pp, x).value
+            vpin = bd.pin(pp, x).value
+            vbe = bd.be(pp, x).value
             if not (vpin <= vpu * (1 + 1e-8) and vpu <= vbh * (1 + 1e-12)):
                 return False
             if not vbe <= min(bd.ca(1.0, x), vbh) * (1 + 1e-8):
@@ -301,19 +289,19 @@ def _quick_checks(seed: int, tol: Tolerance):
 
     def two_point_closed() -> bool:
         tp = TwoPointRV(1.0, 3.0)
-        got = bd.p_alpha(tp, 2.0, 1.0, tol=tol).value
+        got = bd.p_alpha(tp, 2.0, 1.0).value
         if abs(got - 0.75) > 1e-10:
             return False
-        return abs(bd.m_function(tp, 1.2, -1.0, tol) - 3.0) < 1e-9 and \
+        return abs(bd.m_function(tp, 1.2, -1.0) - 3.0) < 1e-9 and \
             abs(two_point_palpha_closed(tp, 2.0, 1.0) - 0.75) < 1e-12
 
     def posmoment_routes() -> bool:
-        ser = pos_moment(mix, 1.0, 3.0, PosMomentMethod.series(), tol)
-        lap = pos_moment(mix, 1.0, 3.0, PosMomentMethod.laplace(), tol)
+        ser = pos_moment(mix, 1.0, 3.0, PosMomentMethod.series())
+        lap = pos_moment(mix, 1.0, 3.0, PosMomentMethod.laplace())
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            chf = pos_moment(mix, 1.0, 3.0, PosMomentMethod.charfn(), tol)
+            chf = pos_moment(mix, 1.0, 3.0, PosMomentMethod.charfn())
         return abs(lap - ser) <= 1e-6 * ser and abs(chf - ser) <= 1e-5 * ser
 
     def mc_determinism() -> bool:
@@ -324,11 +312,11 @@ def _quick_checks(seed: int, tol: Tolerance):
 
     def split_identity() -> bool:
         x = 2.0
-        ax = bd.alpha_x_split(p, x, tol)
+        ax = bd.alpha_x_split(p, x)
         s2e = p.eps * p.sigma**2
         lhs = bd.en(math.sqrt((1 - p.eps)) * p.sigma, (1 - ax) * x) \
             * bd.bh(math.sqrt(s2e), p.y, ax * x).value
-        return abs(lhs - bd.pu(p, x, tol).value) <= 1e-8 * lhs
+        return abs(lhs - bd.pu(p, x).value) <= 1e-8 * lhs
 
     return [
         ("pu_vs_numeric", pu_vs_numeric),
@@ -338,29 +326,29 @@ def _quick_checks(seed: int, tol: Tolerance):
         ("comparison_small", lambda: _comparison_holds(
             [TestFunction.power_part(t) for t in (-1.0, 0.0, 1.0)]
             + [TestFunction.exponential(1.0)],
-            [(8, seed + i) for i in range(10)], tol)),
+            [(8, seed + i) for i in range(10)])),
         ("mc_determinism", mc_determinism),
         ("split_identity", split_identity),
     ]
 
 
-def _full_checks(seed: int, tol: Tolerance):
+def _full_checks(seed: int):
     def tightness() -> bool:
         params = BoundParams(1.0, 1.0, 0.1)
         f = TestFunction.power_part(1.0, 3.0)
-        rhs = mixture_expectation_f(params, f, tol)
+        rhs = mixture_expectation_f(params, f)
         gaps = []
         for m in (400, 1600):
-            spec = extremal_sum_spec(params, m, tol)
+            spec = extremal_sum_spec(params, m)
             mean, _ = mc_expectation(spec, f, 10**6, seed)
             gaps.append(abs(mean / rhs - 1.0))
         return gaps[1] < gaps[0] and gaps[1] <= 0.1
 
     def mc_consistency() -> bool:
         params = BoundParams(1.0, 1.0, 0.1)
-        spec = extremal_sum_spec(params, 400, tol)
+        spec = extremal_sum_spec(params, 400)
         est = mc_tail(spec, 3.0, 10**6, seed)
-        vpin = bd.pin(params, 3.0, tol=tol).value
+        vpin = bd.pin(params, 3.0).value
         upper = est.p_hat <= vpin + 4.0 * est.stderr
         lower = est.p_hat >= vpin / (1e3 * 3.0**2.5)
         return upper and lower
@@ -368,13 +356,13 @@ def _full_checks(seed: int, tol: Tolerance):
     def oscillation() -> bool:
         rv = MixtureRV(0.0, 1.0, 0.6)
         x = 15.0 - 0.6
-        r1 = bd.p_alpha(rv, 2.0, x, tol=tol).value / poisson_tail(0.6, 15.0)
+        r1 = bd.p_alpha(rv, 2.0, x).value / poisson_tail(0.6, 15.0)
         r2 = poisson_tail(0.6, 15.0) / (15.0 / 0.6 * poisson_tail(0.6, 16.0))
         return 1.0 <= r1 <= 1.15 and 0.85 <= r2 <= 1.15
 
     def normal_constant() -> bool:
         rv = MixtureRV(1.0, 1.0, 0.0)
-        ratio = bd.p_alpha(rv, 3.0, 8.0, tol=tol).value / normal_tail(1.0, 8.0)
+        ratio = bd.p_alpha(rv, 3.0, 8.0).value / normal_tail(1.0, 8.0)
         return 0.9 * bd.c_const(3.0, 0.0) <= ratio <= 1.1 * bd.c_const(3.0, 0.0)
 
     def u_crossing() -> bool:
@@ -389,18 +377,18 @@ def _full_checks(seed: int, tol: Tolerance):
         return 1.585 < 0.5 * (lo + hi) < 1.586
 
     def hp_gap() -> bool:
-        g_small = hp_counterexample_gap(2.5, 0.01, tol)
-        g_big = hp_counterexample_gap(2.5, 0.05, tol)
+        g_small = hp_counterexample_gap(2.5, 0.01)
+        g_big = hp_counterexample_gap(2.5, 0.05)
         pred = (2.0**1.5 - 3.5) * 1e-4
         return g_small < 0.0 and 0.5 < g_small / pred < 2.0 and \
             12.5 < g_big / g_small < 50.0 and \
-            hp_counterexample_gap(3.0, 0.01, tol) >= -1e-6
+            hp_counterexample_gap(3.0, 0.01) >= -1e-6
 
     return [
         ("comparison_full", lambda: _comparison_holds(
             [TestFunction.power_part(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
             + [TestFunction.exponential(lam) for lam in (0.5, 1.0, 2.0)],
-            [(4 + (i % 9), seed + 1000 + i) for i in range(100)], tol)),
+            [(4 + (i % 9), seed + 1000 + i) for i in range(100)])),
         ("tightness", tightness),
         ("mc_consistency", mc_consistency),
         ("oscillation", oscillation),

@@ -18,7 +18,7 @@ from .bounds import pu_exp
 from .distributions import BoundParams, TwoPointRV
 from .errors import ConstructionError, DomainError, NumericalError
 from .posmoments import pos_moment
-from .special import DEFAULT_TOL, Tolerance
+from .special import _MAX_ITER
 
 __all__ = [
     "SumSpec",
@@ -128,8 +128,7 @@ class MCEstimate:
     seed: int
 
 
-def extremal_two_point(sigma: float, y: float, beta: float,
-                       tol: Tolerance = DEFAULT_TOL) -> TwoPointRV:
+def extremal_two_point(sigma: float, y: float, beta: float) -> TwoPointRV:
     """The two-point law X_{a,b} matching E X^2 = sigma^2 and
     E X_+^3 = beta exactly, with b <= y.
 
@@ -150,8 +149,7 @@ def extremal_two_point(sigma: float, y: float, beta: float,
         return s2 * b**3 - beta * (b * b + s2)
 
     from scipy.optimize import brentq
-    b = y if beta >= cap else float(brentq(h, 0.0, y, rtol=1e-15,
-                                           maxiter=tol.max_iter))
+    b = y if beta >= cap else float(brentq(h, 0.0, y, rtol=1e-15, maxiter=_MAX_ITER))
     a = s2 / b
     rv = TwoPointRV(a, b)
     if abs(rv.second_moment - s2) > 1e-10 * s2 or \
@@ -160,8 +158,7 @@ def extremal_two_point(sigma: float, y: float, beta: float,
     return rv
 
 
-def extremal_sum_spec(params: BoundParams, m: int,
-                      tol: Tolerance = DEFAULT_TOL) -> SumSpec:
+def extremal_sum_spec(params: BoundParams, m: int) -> SumSpec:
     """2m-summand sum approaching the mixture in distribution: m copies of
     the symmetric law X_{b/sqrt(m), b/sqrt(m)} feeding the Gaussian part
     and m copies of X_{a/m, y} feeding the Poisson part.
@@ -186,7 +183,7 @@ def extremal_sum_spec(params: BoundParams, m: int,
     if not (g(0.0) > 0.0 and g(params.sigma) < 0.0):
         raise ConstructionError(f"no split point for m = {m}; increase m")
     from scipy.optimize import brentq
-    b = float(brentq(g, 0.0, params.sigma, rtol=1e-15, maxiter=tol.max_iter))
+    b = float(brentq(g, 0.0, params.sigma, rtol=1e-15, maxiter=_MAX_ITER))
     a = (s2 - b * b) / y
     sm = b / math.sqrt(m)
     summands = [TwoPointRV(sm, sm)] * m + [TwoPointRV(a / m, y)] * m
@@ -210,8 +207,7 @@ def enumerate_expectation(spec: SumSpec, f: TestFunction) -> float:
     return float(np.dot(weights, f(values)))
 
 
-def mixture_expectation_f(params: BoundParams, f: TestFunction,
-                          tol: Tolerance = DEFAULT_TOL) -> float:
+def mixture_expectation_f(params: BoundParams, f: TestFunction) -> float:
     """E f(eta) for the comparison law matched to the budgets.
 
     power_part integrates against the Gaussian-plus-Poisson mixture,
@@ -221,9 +217,9 @@ def mixture_expectation_f(params: BoundParams, f: TestFunction,
     if f.tag == "exponential":
         return pu_exp(params, f.lam)
     if f.tag == "power_part":
-        return pos_moment(params.mixture(), f.t, f.alpha, tol=tol)
+        return pos_moment(params.mixture(), f.t, f.alpha)
     if f.tag == "power_part2":
-        return pos_moment(params.bentkus(), f.t, f.alpha, tol=tol)
+        return pos_moment(params.bentkus(), f.t, f.alpha)
     raise DomainError(f"unsupported test function {f.tag!r}")
 
 
@@ -300,8 +296,7 @@ def random_sum_spec(n: int, seed: int, y_cap: float = 1.0) -> SumSpec:
     return SumSpec(summands, y_cap)
 
 
-def hp_counterexample_gap(p: float, a: float,
-                          tol: Tolerance = DEFAULT_TOL) -> float:
+def hp_counterexample_gap(p: float, a: float) -> float:
     """E(eta + a)_+^p minus E(X_{a,1} + a)_+^p with matched budgets.
 
     For p = 3 the comparison theorem makes this nonnegative; for p in
@@ -313,6 +308,6 @@ def hp_counterexample_gap(p: float, a: float,
     if not (0.0 < a < 1.0):
         raise DomainError(f"a must lie in (0, 1), got {a}")
     params = BoundParams(math.sqrt(a), 1.0, 1.0 / (1.0 + a))
-    e_mix = pos_moment(params.mixture(), -a, p, tol=tol)
+    e_mix = pos_moment(params.mixture(), -a, p)
     e_two = a * (1.0 + a) ** (p - 1.0)
     return e_mix - e_two

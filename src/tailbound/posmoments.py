@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from ._quadrature import adaptive_quad
 from .distributions import MixtureRV, TwoPointRV, mixture_mgf
 from .errors import DomainError, NumericalError
-from .special import DEFAULT_TOL, Tolerance, normal_tail, _poisson_log_sum
+from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sum
 
 __all__ = [
     "PosMomentMethod",
@@ -165,20 +165,19 @@ def _integrate_panels(f: Callable[[float], float], edges: Sequence[float],
     return total, err
 
 
-def _clamp_nonneg(value: float, err: float, tol: Tolerance, what: str) -> float:
+def _clamp_nonneg(value: float, err: float, what: str) -> float:
     if value >= 0.0:
         return value
     # Round-off can push a true zero slightly negative; the plausible scale
     # of that round-off is the quadrature's own error estimate.
-    if value >= -(tol.abs + 10.0 * err):
+    if value >= -(_ABS_TOL + 10.0 * err):
         return 0.0
     raise NumericalError(f"{what} returned {value}, beyond round-off",
                          estimate=value, err_estimate=err)
 
 
 def pos_moment_laplace(mgf: Callable[[complex], complex], w: float, p: float,
-                       s: float, j: int, tol: Tolerance = DEFAULT_TOL,
-                       moments: Sequence[float] | None = None,
+                       s: float, j: int, moments: Sequence[float] | None = None,
                        gauss_var: float = 0.0) -> float:
     """E(X - w)_+^p via the Fourier-Laplace contour formula
 
@@ -239,7 +238,7 @@ def pos_moment_laplace(mgf: Callable[[complex], complex], w: float, p: float,
     rough, _ = _integrate_panels(integrand, _geometric_edges(0.0, t0),
                                  rel=1e-6, abs_total=1e-280)
     a_priori = c_exp / (p * s**p)  # integral magnitude bound, sets noise floor
-    target = max(tol.abs, tol.rel * abs(rough), 1e-16 * a_priori)
+    target = max(_ABS_TOL, _REL_TOL * abs(rough), 1e-16 * a_priori)
     t_cut = t0
     while tail_bound(t_cut) > 0.5 * target and t_cut < 1e12:
         t_cut *= 2.0
@@ -247,14 +246,14 @@ def pos_moment_laplace(mgf: Callable[[complex], complex], w: float, p: float,
         raise NumericalError("laplace truncation point not found",
                              estimate=gamma_pi * rough)
     total, err = _integrate_panels(integrand, _geometric_edges(0.0, t_cut),
-                                   rel=0.1 * tol.rel, abs_total=0.5 * target)
+                                   rel=0.1 * _REL_TOL, abs_total=0.5 * target)
     value = gamma_pi * total
     err_total = gamma_pi * err + gamma_pi * tail_bound(t_cut)
-    return _clamp_nonneg(value, err_total, tol, "pos_moment_laplace")
+    return _clamp_nonneg(value, err_total, "pos_moment_laplace")
 
 
 def pos_moment_charfn(cf: Callable[[float], complex], moments: Sequence[float],
-                      w: float, p: float, tol: Tolerance = DEFAULT_TOL) -> float:
+                      w: float, p: float) -> float:
     """E(X - w)_+^p from the characteristic function of X.
 
     Uses the inversion formula with l = ceil(p - 1):
@@ -319,7 +318,7 @@ def pos_moment_charfn(cf: Callable[[float], complex], moments: Sequence[float],
     patch_err = patch_err_scale * t_lo ** (m_top + 1 - p) / max(m_top + 1 - p, 1.0)
 
     rough = abs(patch) + abs(mu[min(2, len(mu) - 1)]) + 1e-12
-    target = max(tol.abs, 1e-13 * rough)
+    target = max(_ABS_TOL, 1e-13 * rough)
     t_cut = max(50.0 * scale, 50.0 / max(scale, 1e-12), 10.0)
     while 1.0 / (p * t_cut**p) > 0.25 * target and t_cut < 1e9:
         t_cut *= 2.0
@@ -333,7 +332,7 @@ def pos_moment_charfn(cf: Callable[[float], complex], moments: Sequence[float],
     lead = 0.5 * mu[k] if p_is_int else 0.0
     value = lead + gamma_pi * (patch + total + poly_tail)
     err_total = gamma_pi * (err + patch_err + cf_tail_bound)
-    return _clamp_nonneg(value, err_total, tol, "pos_moment_charfn")
+    return _clamp_nonneg(value, err_total, "pos_moment_charfn")
 
 
 def pos_moment_poisson_local(theta: float, y: float, w: float,
@@ -407,8 +406,7 @@ def _route(rv: MixtureRV | TwoPointRV, alpha: float,
 
 
 def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
-               method: PosMomentMethod | None = None,
-               tol: Tolerance = DEFAULT_TOL) -> float:
+               method: PosMomentMethod | None = None) -> float:
     """E(X - w)_+^alpha for a supported law, routed by family and power.
 
     Two-point laws use the exact two-term sum.  Mixtures default to the
@@ -424,7 +422,7 @@ def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
     if route == "exact":
         return _two_point_exact(rv, w, alpha)
     if isinstance(rv, TwoPointRV):
-        return _two_point_integral(rv, w, alpha, method, tol)
+        return _two_point_integral(rv, w, alpha, method)
     if route == "poisson-local":
         return pos_moment_poisson_local(rv.theta, rv.y, w, alpha)
     if route == "series":
@@ -433,10 +431,10 @@ def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
         s = method.s if method is not None and method.s is not None \
             else _default_abscissa(rv.y)
         return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha, s,
-                                  -1, tol, gauss_var=rv.v)
+                                  -1, gauss_var=rv.v)
     moments = mixture_shifted_moments(rv, w, upto=6)
     return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
-                             moments, w, alpha, tol)
+                             moments, w, alpha)
 
 
 def _default_abscissa(y: float) -> float:
@@ -444,7 +442,7 @@ def _default_abscissa(y: float) -> float:
 
 
 def _two_point_integral(rv: TwoPointRV, w: float, alpha: float,
-                        method: PosMomentMethod, tol: Tolerance) -> float:
+                        method: PosMomentMethod) -> float:
     pn, pp = rv.prob_neg, rv.prob_pos
     a, b = rv.a, rv.b
     if method.tag == "laplace":
@@ -453,10 +451,10 @@ def _two_point_integral(rv: TwoPointRV, w: float, alpha: float,
         def mgf(z: complex) -> complex:
             return pn * cmath.exp(-z * a) + pp * cmath.exp(z * b)
 
-        return pos_moment_laplace(mgf, w, alpha, s, -1, tol)
+        return pos_moment_laplace(mgf, w, alpha, s, -1)
     moments = [pn * (-a - w) ** m + pp * (b - w) ** m for m in range(7)]
 
     def cf(t: float) -> complex:
         return pn * cmath.exp(complex(0.0, -t * a)) + pp * cmath.exp(complex(0.0, t * b))
 
-    return pos_moment_charfn(cf, moments, w, alpha, tol)
+    return pos_moment_charfn(cf, moments, w, alpha)

@@ -2,9 +2,10 @@
 Poisson and Gaussian survival functions, and truncated exponential remainders.
 
 Every routine here is a pure function of its arguments and is safe to call
-concurrently.  Accuracy targets are set by :data:`DEFAULT_TOL`, which leaves
-about two orders of magnitude of headroom over what the bound calculators in
-:mod:`tailbound.bounds` actually need.
+concurrently.  The package's accuracy targets are the private constants
+below: a relative error target, an absolute floor and an iteration cap for
+root finders.  They leave about two orders of magnitude of headroom over
+what the bound calculators in :mod:`tailbound.bounds` actually need.
 """
 
 from __future__ import annotations
@@ -12,14 +13,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "lambert_w0",
     "lambert_w0_log",
     "bennett_psi",
@@ -31,35 +29,17 @@ __all__ = [
 
 # Relative step below which Halley/Newton iterations are considered converged.
 _STEP_TOL = 1e-14
+# Relative error target of the contour and lc3 quadratures.
+_REL_TOL = 1e-10
+# Absolute error floor of the quadratures; a moment at or below it has vanished.
+_ABS_TOL = 1e-300
+# Iteration cap of the root finders.
+_MAX_ITER = 200
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Accuracy budget threaded through the iterative routines.
-
-    rel and abs are the relative and absolute error targets, max_iter caps
-    the iterations of root finders.
-    """
-
-    rel: float = 1e-10
-    abs: float = 1e-300
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel < 1.0) or not math.isfinite(self.rel):
-            raise DomainError(f"rel must lie in (0, 1), got {self.rel}")
-        if not (0.0 < self.abs < 1.0):
-            raise DomainError(f"abs must lie in (0, 1), got {self.abs}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOL = Tolerance()
-
-
-def _halley_wexp(w: float, z: float, max_iter: int) -> float:
+def _halley_wexp(w: float, z: float) -> float:
     """Polish a seed w with Halley steps on f(w) = w e^w - z."""
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
         w1 = w + 1.0
@@ -71,7 +51,7 @@ def _halley_wexp(w: float, z: float, max_iter: int) -> float:
     raise NumericalError("Lambert W iteration did not converge", estimate=w)
 
 
-def lambert_w0(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def lambert_w0(z: float) -> float:
     """Principal branch of the Lambert W function for z >= 0.
 
     Returns the unique w >= 0 with w * exp(w) = z.  A Halley iteration is
@@ -92,10 +72,10 @@ def lambert_w0(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     else:
         lz = math.log(z)
         w = lz - math.log(lz)
-    return _halley_wexp(w, z, tol.max_iter)
+    return _halley_wexp(w, z)
 
 
-def lambert_w0_log(log_z: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def lambert_w0_log(log_z: float) -> float:
     """Evaluate lambert_w0(exp(log_z)) without overflowing exp.
 
     For moderate log_z this simply exponentiates and defers to
@@ -107,9 +87,9 @@ def lambert_w0_log(log_z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     if not math.isfinite(log_z):
         raise DomainError(f"lambert_w0_log requires finite log_z, got {log_z}")
     if log_z <= 500.0:
-        return lambert_w0(math.exp(log_z), tol)
+        return lambert_w0(math.exp(log_z))
     w = log_z - math.log(log_z)
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         step = (w + math.log(w) - log_z) / (1.0 + 1.0 / w)
         w -= step
         if abs(step) <= _STEP_TOL * w:
@@ -204,10 +184,7 @@ def poisson_tail(theta: float, u: float) -> float:
     :func:`_poisson_log_sum`, which keeps full relative accuracy for
     probabilities far below machine epsilon.
     """
-    if not math.isfinite(theta) or theta < 0.0:
-        raise DomainError(f"poisson_tail requires theta >= 0, got {theta}")
-    if not math.isfinite(u):
-        raise DomainError(f"poisson_tail requires finite u, got {u}")
+    _check_poisson_args("poisson_tail", theta, u)
     if u <= 0.0:
         return 1.0
     if theta == 0.0:
@@ -217,11 +194,19 @@ def poisson_tail(theta: float, u: float) -> float:
 
 def poisson_log_tail(theta: float, u: float) -> float:
     """log P(Pois(theta) >= u), finite even where the tail itself underflows."""
+    _check_poisson_args("poisson_log_tail", theta, u)
     if u <= 0.0:
         return 0.0
-    if theta <= 0.0:
+    if theta == 0.0:
         return -math.inf
     return min(0.0, _poisson_log_sum(theta, lambda k: 1.0, math.ceil(u)))
+
+
+def _check_poisson_args(who: str, theta: float, u: float) -> None:
+    if not math.isfinite(theta) or theta < 0.0:
+        raise DomainError(f"{who} requires theta >= 0, got {theta}")
+    if not math.isfinite(u):
+        raise DomainError(f"{who} requires finite u, got {u}")
 
 
 def normal_tail(v: float, x: float) -> float:

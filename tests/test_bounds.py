@@ -83,6 +83,13 @@ def test_bh_domain_and_range():
         bh_exp(1.0, 1.0, -0.1)
 
 
+def test_exp_bounds_reject_nan_lambda():
+    with pytest.raises(DomainError):
+        bh_exp(1.0, 1.0, math.nan)
+    with pytest.raises(DomainError):
+        pu_exp(P_HALF, math.nan)
+
+
 @given(st.floats(min_value=0.0, max_value=5.0))
 def test_pu_exp_between_gauss_and_bh_factors(lam):
     # The mixture mgf interpolates: en-factor <= pu_exp <= bh_exp.
@@ -270,7 +277,7 @@ def test_pin_bracket_without_sign_change_is_numerical_error(monkeypatch):
     # An m(t) that stays below x leaves no sign change on the t_x bracket,
     # so Brent's bracket check fails; that is a numerical failure, not bad
     # input.
-    monkeypatch.setattr(bounds, "m_function", lambda rv, alpha, t, tol: t)
+    monkeypatch.setattr(bounds, "m_function", lambda rv, alpha, t: t)
     with pytest.raises(NumericalError):
         pin(BoundParams(1.0, 0.1, 0.1), 35.0)
 
@@ -297,6 +304,13 @@ def test_ca_en_basics():
     assert en(2.0, 2.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
     with pytest.raises(DomainError):
         ca(0.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_ca_en_ea_reject_non_finite_x(x):
+    for bound in (lambda: ca(1.0, x), lambda: en(1.0, x), lambda: ea(x)):
+        with pytest.raises(DomainError):
+            bound()
 
 
 def test_ca_en_cross_exactly_once():
@@ -331,6 +345,9 @@ def test_plc_poisson_interpolates_geometrically():
     geo = math.sqrt(poisson_tail(theta, 3.0) * poisson_tail(theta, 4.0))
     assert mid == pytest.approx(geo, rel=1e-12)
     assert plc_poisson_tail(theta, -1.0) == 1.0
+    for u in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            plc_poisson_tail(theta, u)
 
 
 @given(st.floats(min_value=0.05, max_value=8.0),

@@ -83,6 +83,30 @@ def test_eval_missing_flag_is_usage_error(capsys, bound, flag):
     assert f"--{flag} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf"])
+@pytest.mark.parametrize("bound", ["bh", "pu", "be", "pin", "ca", "en", "ea", "lc3"])
+def test_eval_non_finite_x_is_usage_error(capsys, bound, x):
+    assert run(["eval", "--bound", bound, "--sigma", "1", "--y", "1",
+                "--eps", "0.3", "--x", x]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--bound", "ca", "--sigma", "1", "--x", "1"],
+    ["sweep", "--bound", "ca", "--sigma", "1", "--x-min", "0", "--x-max", "1",
+     "--points", "3"],
+    ["compare", "--sigma", "1", "--y", "1", "--eps", "0.3", "--x-max", "1",
+     "--points", "3"],
+])
+def test_negative_digits_is_usage_error(capsys, argv):
+    assert run(argv + ["--digits", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --digits must be >= 0, got -1\n"
+
+
 def test_eval_numerical_failure_exits_one(capsys):
     # At x = 50 the moments behind pin's m(t) underflow ("vanished").
     assert run(["eval", "--bound", "pin", "--sigma", "1", "--y", "0.1",
@@ -242,18 +266,3 @@ def test_validate_full_suite(capsys):
     _, rows = _csv(capsys)
     assert len(rows) == 14
     assert all(r[1] == "pass" for r in rows)
-
-
-def test_tol_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TAILBOUND_TOL_REL", "1e-6")
-    assert run(["eval", "--bound", "pin", "--sigma", "1", "--y", "1",
-                "--eps", "0.1", "--x", "2"]) == 0
-    _, rows = _csv(capsys)
-    loose = float(rows[0][0])
-    assert loose == pytest.approx(pin(BoundParams(1.0, 1.0, 0.1), 2.0).value,
-                                  rel=1e-5)
-
-
-def test_tol_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("TAILBOUND_TOL_REL", "not-a-number")
-    assert run(["eval", "--bound", "ca", "--sigma", "1", "--x", "1"]) == 2

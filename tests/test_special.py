@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from tailbound import (
-    DEFAULT_TOL,
     DomainError,
-    Tolerance,
     bennett_psi,
     exp_remainder,
     lambert_w0,
@@ -23,25 +21,6 @@ from tailbound import (
 )
 from tailbound.posmoments import _gauss_partial_moment
 from tailbound.special import _poisson_log_sum
-
-
-def test_tolerance_defaults():
-    assert DEFAULT_TOL.rel == 1e-10
-    assert DEFAULT_TOL.abs == 1e-300
-    assert DEFAULT_TOL.max_iter == 200
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"rel": 0.0},
-    {"rel": 2.0},
-    {"rel": math.nan},
-    {"abs": 0.0},
-    {"abs": 1.0},
-    {"max_iter": 0},
-])
-def test_tolerance_rejects_bad_fields(kwargs):
-    with pytest.raises(DomainError):
-        Tolerance(**kwargs)
 
 
 def test_lambert_omega_constant():
@@ -186,6 +165,17 @@ def test_poisson_log_tail_beyond_underflow():
 def test_poisson_log_tail_boundaries():
     assert poisson_log_tail(2.0, 0.0) == 0.0
     assert poisson_log_tail(0.0, 5.0) == -math.inf
+
+
+@pytest.mark.parametrize("theta, u", [
+    (math.nan, 3.0), (-1.0, 3.0), (math.inf, 3.0),
+    (3.0, math.nan), (3.0, math.inf),
+])
+def test_poisson_log_tail_domain_matches_poisson_tail(theta, u):
+    with pytest.raises(DomainError):
+        poisson_tail(theta, u)
+    with pytest.raises(DomainError):
+        poisson_log_tail(theta, u)
 
 
 def test_normal_tail_degenerate():
