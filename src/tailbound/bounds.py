@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
-from .posmoments import PosMomentMethod, _gauss_partial_moment, _route, pos_moment
-from .special import (_ABS_TOL, _MAX_ITER, _REL_TOL, bennett_psi, exp_remainder,
+from .posmoments import (_SQRT_2PI, PosMomentMethod, _gauss_partial_moment, _mills_moment,
+                         _route, pos_moment)
+from .special import (_ABS_TOL, _REL_TOL, _root_in_bracket, bennett_psi, exp_remainder,
                       lambert_w0_log, poisson_log_tail)
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 _MAX_EXP_ARG = 700.0
+# m(0) = E Z_+^3 / E Z_+^2 = 4 phi(0) for the standard normal Z.
+_FOUR_PHI0 = 4.0 / _SQRT_2PI
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,10 +195,7 @@ def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
     cap = (_MAX_EXP_ARG - 10.0) / y
     while deriv(hi) < 0.0 and hi < cap:
         hi = min(2.0 * hi, cap)
-    if deriv(hi) < 0.0:
-        raise NumericalError("no sign change for the PU optimizer")
-    from scipy.optimize import brentq
-    lam = brentq(deriv, 0.0, hi, rtol=1e-14, maxiter=_MAX_ITER)
+    lam = _root_in_bracket(deriv, 0.0, hi, rtol=1e-14)
     value = math.exp(min(_pu_exponent(params, lam, x), 0.0))
     return TailBoundResult(value, lam, "root-solve")
 
@@ -225,9 +225,10 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> float:
     support supremum.
 
     The bracket starts at [x - 4 stddev, x - 1e-12 max(1,|x|)] and the left
-    offset doubles until m drops below x there; Brent's method finishes.
-    When round-off in m leaves no sign change on that bracket (far out in
-    the tail), the failure is a NumericalError.
+    offset doubles until m drops below x there; Brent's method
+    (:func:`tailbound.special._root_in_bracket`) finishes.  When round-off in
+    m leaves no sign change on that bracket (far out in the tail), or m is
+    NaN, the failure is a NumericalError.
     """
     x_star = _support_sup(rv)
     if not (0.0 < x < x_star):
@@ -240,15 +241,8 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> float:
         off *= 2.0
         if off > 1e12 * sd:
             raise NumericalError("left bracket for t_x not found")
-    from scipy.optimize import brentq
-    try:
-        return float(brentq(g, x - off, right, rtol=1e-12,
-                            xtol=1e-12 * max(1.0, abs(x), sd), maxiter=_MAX_ITER))
-    except DomainError:
-        raise
-    except ValueError as exc:  # brentq's bracket check
-        raise NumericalError(f"m(t) - x does not change sign on the t_x bracket "
-                             f"[{x - off}, {right}]") from exc
+    return _root_in_bracket(g, x - off, right, rtol=1e-12,
+                            xtol=1e-12 * max(1.0, abs(x), sd))
 
 
 def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
@@ -429,24 +423,35 @@ def effective_epsilon(summands: list[SummandBudget], y: float) -> EffectiveEpsil
 
 def ea(x: float) -> float:
     """Two-sided third-moment bound for the standard normal:
-    inf_{t in (0,x)} E(|Z| - t)_+^3 / (x - t)^3, clamped to 1.
+    inf_{t in [0,x)} E(|Z| - t)_+^3 / (x - t)^3, clamped to 1.
 
-    By symmetry E(|Z| - t)_+^3 = 2 E(Z - t)_+^3 for t >= 0, with the
-    Gaussian positive-part moment in closed form.
+    By symmetry E(|Z| - t)_+^3 = 2 E(Z - t)_+^3 for t >= 0.  The ratio is
+    stationary where m(t) = t + E(Z-t)_+^3 / E(Z-t)_+^2 equals x.  m
+    increases from m(0) = 4 phi(0), so for x <= 4 phi(0) the infimum is the
+    t -> 0 limit 4 phi(0) / x^3; otherwise Brent's method solves m(t) = x on
+    [0, x (1 - 1e-12)].  Past t = 2, where the closed-form moments start to
+    cancel, E(Z-t)_+^n = phi(t) J_n(t) from
+    :func:`tailbound.posmoments._mills_moment`, and phi(t) cancels from m.
+    From x = 40 on the value at t = x - 1, below 12 phi(39) / 39^4,
+    underflows, so the bound is 0.
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be finite and positive, got {x}")
-    from scipy.optimize import minimize_scalar
+    if x <= _FOUR_PHI0:
+        return min(1.0, _FOUR_PHI0 / x**3)
+    if x >= 40.0:
+        return 0.0
 
-    def g(t: float) -> float:
-        return 2.0 * _gauss_partial_moment(1.0, -t, 3) / (x - t) ** 3
+    def m_minus_x(t: float) -> float:
+        if t > 2.0:
+            return t + _mills_moment(t, 3) / _mills_moment(t, 2) - x
+        return (t + _gauss_partial_moment(1.0, -t, 3)
+                / _gauss_partial_moment(1.0, -t, 2) - x)
 
-    res = minimize_scalar(g, bounds=(1e-12 * x, x * (1.0 - 1e-9)),
-                          method="bounded",
-                          options={"xatol": 1e-11 * max(1.0, x)})
-    # The infimum over the open interval can sit at the t -> 0 limit.
-    best = min(float(res.fun), g(0.0))
-    return min(1.0, best)
+    t = _root_in_bracket(m_minus_x, 0.0, x * (1.0 - 1e-12), rtol=1e-12)
+    e3 = (math.exp(-0.5 * t * t) / _SQRT_2PI * _mills_moment(t, 3) if t > 2.0
+          else _gauss_partial_moment(1.0, -t, 3))
+    return min(1.0, 2.0 * e3 / (x - t) ** 3)
 
 
 def alpha_x_split(params: BoundParams, x: float) -> float:
@@ -458,7 +463,8 @@ def alpha_x_split(params: BoundParams, x: float) -> float:
 
         (1 - a) x^2 / ((1-eps) sigma^2) - (x/y) ln(1 + a x y / (eps sigma^2))
 
-    over a in (0, 1); positive at 0 and negative at 1, so Brent applies.
+    over a in (0, 1); positive at 0 and negative at 1, so Brent's method
+    (:func:`tailbound.special._root_in_bracket`) finds it.
     """
     if not (x > 0.0):
         raise DomainError(f"x must be positive, got {x}")
@@ -468,8 +474,7 @@ def alpha_x_split(params: BoundParams, x: float) -> float:
         return ((1.0 - a) * x * x / ((1.0 - eps) * s2)
                 - x / y * math.log1p(a * x * y / (eps * s2)))
 
-    from scipy.optimize import brentq
-    return float(brentq(h, 0.0, 1.0, rtol=1e-15, maxiter=_MAX_ITER))
+    return _root_in_bracket(h, 0.0, 1.0, rtol=1e-15)
 
 
 def _check_pos(name: str, val: float) -> None:

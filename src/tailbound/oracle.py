@@ -10,6 +10,7 @@ constructions that approach equality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .bounds import pu_exp
 from .distributions import BoundParams, TwoPointRV
 from .errors import ConstructionError, DomainError, NumericalError
 from .posmoments import pos_moment
-from .special import _MAX_ITER
+from .special import _root_in_bracket
 
 __all__ = [
     "SumSpec",
@@ -148,8 +149,7 @@ def extremal_two_point(sigma: float, y: float, beta: float) -> TwoPointRV:
     def h(b: float) -> float:
         return s2 * b**3 - beta * (b * b + s2)
 
-    from scipy.optimize import brentq
-    b = y if beta >= cap else float(brentq(h, 0.0, y, rtol=1e-15, maxiter=_MAX_ITER))
+    b = y if beta >= cap else _root_in_bracket(h, 0.0, y, rtol=1e-15)
     a = s2 / b
     rv = TwoPointRV(a, b)
     if abs(rv.second_moment - s2) > 1e-10 * s2 or \
@@ -182,8 +182,7 @@ def extremal_sum_spec(params: BoundParams, m: int) -> SumSpec:
 
     if not (g(0.0) > 0.0 and g(params.sigma) < 0.0):
         raise ConstructionError(f"no split point for m = {m}; increase m")
-    from scipy.optimize import brentq
-    b = float(brentq(g, 0.0, params.sigma, rtol=1e-15, maxiter=_MAX_ITER))
+    b = _root_in_bracket(g, 0.0, params.sigma, rtol=1e-15)
     a = (s2 - b * b) / y
     sm = b / math.sqrt(m)
     summands = [TwoPointRV(sm, sm)] * m + [TwoPointRV(a / m, y)] * m
@@ -230,6 +229,15 @@ def _grouped(spec: SumSpec) -> list[tuple[float, float, int]]:
     return [(a, b, c) for (a, b), c in counts.items()]
 
 
+def _philox_key(seed: int, i: int) -> np.ndarray:
+    """The key (seed, i) of a Philox stream, for a seed in [0, 2^64).  An
+    explicit uint64 array: numpy turns a plain list holding a seed >= 2^63
+    into floats, collapsing distinct seeds onto one key."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return np.array([seed, i], dtype=np.uint64)
+
+
 def _sample_chunks(spec: SumSpec, n: int, seed: int):
     """Yield arrays of samples of S in fixed-size chunks.
 
@@ -239,11 +247,10 @@ def _sample_chunks(spec: SumSpec, n: int, seed: int):
     the stream independent of how chunks are scheduled.
     """
     groups = _grouped(spec)
-    mask = (1 << 64) - 1
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     for i in range(n_chunks):
         size = min(_CHUNK, n - i * _CHUNK)
-        gen = np.random.Generator(np.random.Philox(key=[seed & mask, i]))
+        gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, i)))
         s = np.zeros(size)
         for a, b, c in groups:
             k = gen.binomial(c, a / (a + b), size=size)
@@ -252,7 +259,8 @@ def _sample_chunks(spec: SumSpec, n: int, seed: int):
 
 
 def mc_tail(spec: SumSpec, x: float, n: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of P(S >= x), deterministic given the seed."""
+    """Monte Carlo estimate of P(S >= x), deterministic given the seed in
+    [0, 2^64)."""
     if n < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
     hits = 0
@@ -285,7 +293,7 @@ def random_sum_spec(n: int, seed: int, y_cap: float = 1.0) -> SumSpec:
     construction rather than by rejection."""
     if n < 1:
         raise DomainError(f"need n >= 1 summands, got {n}")
-    gen = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 0]))
+    gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     summands = []
     for _ in range(n):
         sigma_i = float(gen.uniform(0.2, 1.0)) / math.sqrt(n)

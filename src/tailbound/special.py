@@ -1,5 +1,7 @@
 """Numerically stable scalar kernels: Lambert W, the Bennett function,
-Poisson and Gaussian survival functions, and truncated exponential remainders.
+Poisson and Gaussian survival functions, truncated exponential remainders,
+and the package's one bracketing root solver, :func:`_root_in_bracket`
+(Brent's method), which every optimizer in the package goes through.
 
 Every routine here is a pure function of its arguments and is safe to call
 concurrently.  The package's accuracy targets are the private constants
@@ -49,6 +51,66 @@ def _halley_wexp(w: float, z: float) -> float:
         if abs(step) <= _STEP_TOL * (abs(w) + 1e-300):
             return w
     raise NumericalError("Lambert W iteration did not converge", estimate=w)
+
+
+def _root_in_bracket(f: Callable[[float], float], a: float, b: float,
+                     rtol: float, xtol: float = 2e-12) -> float:
+    """A root of f between a and b, where f(a) and f(b) differ in sign, by
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4).
+
+    [x_blk, x_cur] always brackets a sign change, |f(x_cur)| the smaller.
+    Each step tries a secant or inverse quadratic step from x_cur and
+    bisects when that is not short enough; no step is below the tolerance
+    delta = (xtol + rtol |x_cur|) / 2, and the solve ends once the bracket's
+    half-width is.  For rtol >= 4 machine epsilon these are the steps of
+    scipy.optimize.brentq, so roots and f calls match it exactly.  Raises
+    NumericalError when f(a) and f(b) share a sign, when f returns NaN, or
+    after _MAX_ITER steps.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericalError(f"root solve: f({x}) is NaN")
+        return fx
+
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = call(x_pre), call(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise NumericalError(f"no sign change on the root bracket [{a}, {b}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_MAX_ITER):
+        # f_pre is never 0 here: a zero f_cur returns before it moves over.
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        short = False
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            short = 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, s_try) if short else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = call(x_cur)
+    raise NumericalError(f"root solve did not converge in {_MAX_ITER} steps",
+                         estimate=x_cur)
 
 
 def lambert_w0(z: float) -> float:

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -428,8 +429,34 @@ def test_ea_against_dense_grid():
     assert ea(3.0) == pytest.approx(0.010815640948149213, rel=1e-9)
 
 
+def _ea_mpmath(x):
+    # inf over t of 2 E(Z-t)_+^3 / (x-t)^3 at 40 digits: closed-form
+    # moments (exact at this precision) and bisection on m(t) = x.
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        phi, q = mpmath.npdf, lambda t: mpmath.ncdf(-t)
+        e3 = lambda t: -t * (3 + t * t) * q(t) + (2 + t * t) * phi(t)
+        e2 = lambda t: (1 + t * t) * q(t) - t * phi(t)
+        if x <= 4 * phi(0):
+            return float(min(1, 4 * phi(0) / x**3))
+        lo, hi = mpmath.mpf(0), x
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid + e3(mid) / e2(mid) < x else (lo, mid)
+        return float(min(1, 2 * e3(lo) / (x - lo) ** 3))
+
+
+@pytest.mark.parametrize("x", [1.0, 1.5, 1.6, 3.0, 5.0, 8.0, 20.0, 37.0])
+def test_ea_against_mpmath(x):
+    # 1 and 1.5 sit below 4 phi(0) (the t -> 0 limit, clamped at 1); the
+    # optimal t crosses 5 between x = 5 and 8; ea(37) ~ 5.1e-299.
+    assert ea(x) == pytest.approx(_ea_mpmath(x), rel=1e-10)
+
+
 def test_ea_clamps_and_validates():
     assert ea(0.05) == 1.0
+    # Past x = 40 the bound underflows to 0, even where (x - t)^3 would overflow.
+    assert ea(40.0) == ea(1e300) == 0.0
     with pytest.raises(DomainError):
         ea(0.0)
 

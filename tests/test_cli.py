@@ -116,14 +116,25 @@ def test_eval_numerical_failure_exits_one(capsys):
     assert captured.err.startswith("error: ")
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_runs_with_scipy_blocked():
+    # scipy is a test-only oracle: every command must run in an interpreter
+    # where importing it fails.
     src = str(pathlib.Path(tailbound.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, tailbound.cli; print('scipy.optimize' in sys.modules)"
+    budgets = ["--sigma", "1", "--y", "1", "--eps", "0.1"]
+    commands = [["eval", "--bound", b, *budgets, "--x", "3"]
+                for b in ("pin", "be", "pu", "ea")]
+    commands += [["extremal", *budgets, "--m", "50", "--x", "1",
+                  "--samples", "2000", "--seed", "11"],
+                 ["validate", "--suite", "quick", "--seed", "1"]]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from tailbound.cli import run\n"
+            f"codes = [run(argv) for argv in {commands!r}]\n"
+            "print(codes, file=sys.stderr); sys.exit(any(codes))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_eval_domain_error_maps_to_two(capsys):
@@ -245,6 +256,15 @@ def test_extremal_deterministic(capsys):
     assert int(row[2]) == 2000
     assert int(row[3]) == 11
     assert 0.0 <= float(row[4]) <= 1.0
+
+
+def test_extremal_negative_seed_is_usage_error(capsys):
+    assert run(["extremal", "--sigma", "1", "--y", "1", "--eps", "0.1",
+                "--m", "50", "--x", "1", "--samples", "2000",
+                "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be an integer in [0, 2^64), got -1\n"
 
 
 def test_extremal_reports_construction_failure(capsys):

@@ -189,6 +189,26 @@ def test_mc_tail_deterministic_and_seed_sensitive():
     assert isinstance(a, MCEstimate)
 
 
+def test_mc_seeds_above_two_to_the_63_stay_distinct():
+    # numpy turns a plain list holding a seed >= 2^63 into floats, which
+    # round 2^63 and 2^63 + 7 to one Philox key.
+    spec = extremal_sum_spec(BoundParams(1.0, 1.0, 0.1), 50)
+    a = mc_tail(spec, 1.0, 20_000, 2**63)
+    b = mc_tail(spec, 1.0, 20_000, 2**63 + 7)
+    assert a.p_hat != b.p_hat
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_mc_seed_outside_uint64_is_domain_error(seed):
+    spec = SumSpec([TwoPointRV(1.0, 1.0)] * 4, 1.0)
+    with pytest.raises(DomainError):
+        mc_tail(spec, 0.0, 2000, seed)
+    with pytest.raises(DomainError):
+        mc_expectation(spec, TestFunction.power_part(0.0), 2000, seed)
+    with pytest.raises(DomainError):
+        random_sum_spec(3, seed)
+
+
 def test_mc_tail_sharding_invariance():
     # Estimates must not depend on the chunk layout: a run whose sample
     # count crosses several chunk boundaries equals the concatenation of

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import _oracles as oracles
 from tailbound import (
     DomainError,
+    NumericalError,
     bennett_psi,
     exp_remainder,
     lambert_w0,
@@ -20,7 +21,7 @@ from tailbound import (
     poisson_tail,
 )
 from tailbound.posmoments import _gauss_partial_moment
-from tailbound.special import _poisson_log_sum
+from tailbound.special import _poisson_log_sum, _root_in_bracket
 
 
 def test_lambert_omega_constant():
@@ -281,3 +282,55 @@ def test_poisson_log_sum_matches_brute_force(theta, y, v, w, alpha):
         got = _poisson_log_sum(theta, f, k_min)
         want = _brute_log_sum(theta, f, k_min, k_max)
         assert math.exp(got - want) == pytest.approx(1.0, abs=1e-13)
+
+
+# Strictly increasing shapes through 0 at u = 0, for the root solver tests.
+_MONOTONE = [
+    lambda u, c: c[0] * u + c[1] * u**3,
+    lambda u, c: math.expm1(c[0] * u) + c[1] * u,
+    lambda u, c: math.copysign(math.log1p(c[0] * abs(u)), u) + c[2] * u**5,
+    lambda u, c: math.atan(c[0] * u) + 1e-3 * c[1] * u,
+]
+
+
+@given(st.sampled_from(range(len(_MONOTONE))), st.booleans(),
+       st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3),
+       st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+       st.booleans(), st.floats(-15.0, -4.0),
+       st.floats(-15.0, -2.0))
+def test_root_in_bracket_takes_brentqs_steps(kind, flip, c, root, left, right,
+                                             swap, log_rtol, log_xtol):
+    # scipy's brentq is the oracle: the same root to the bit after the same
+    # number of f calls, for either orientation of bracket and slope.
+    from scipy.optimize import brentq
+
+    sign = -1.0 if flip else 1.0
+    a, b = root - left, root + right
+    if swap:
+        a, b = b, a
+    rtol, xtol = 10.0**log_rtol, 10.0**log_xtol
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return sign * _MONOTONE[kind](x - root, c)
+
+    got = _root_in_bracket(f, a, b, rtol, xtol)
+    ours, calls[:] = list(calls), []
+    want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+    assert got == want
+    assert ours == calls
+
+
+def test_root_in_bracket_without_sign_change():
+    with pytest.raises(NumericalError, match="no sign change"):
+        _root_in_bracket(lambda x: x * x + 1.0, -1.0, 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nan_at", [lambda x: x == -1.0, lambda x: x == 2.0,
+                                    lambda x: -1.0 < x < 2.0],
+                         ids=["a", "b", "mid-run"])
+def test_root_in_bracket_nan_is_numerical_error(nan_at):
+    with pytest.raises(NumericalError, match="NaN"):
+        _root_in_bracket(lambda x: math.nan if nan_at(x) else x - 0.3,
+                         -1.0, 2.0, rtol=1e-12)
