@@ -23,8 +23,8 @@ from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
 from .posmoments import (_SQRT_2PI, PosMomentMethod, _gauss_partial_moment, _mills_moment,
                          _route, pos_moment)
-from .special import (_ABS_TOL, _REL_TOL, _root_in_bracket, bennett_psi, exp_remainder,
-                      lambert_w0_log, poisson_log_tail)
+from .special import (_ABS_TOL, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
+                      bennett_psi, exp_remainder, lambert_w0_log, poisson_log_tail)
 
 __all__ = [
     "TailBoundResult",
@@ -54,6 +54,7 @@ __all__ = [
 _MAX_EXP_ARG = 700.0
 # m(0) = E Z_+^3 / E Z_+^2 = 4 phi(0) for the standard normal Z.
 _FOUR_PHI0 = 4.0 / _SQRT_2PI
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,50 +347,74 @@ def plc_poisson_tail(theta: float, u: float) -> float:
     if e1 != 0.0:
         log_val += e1 * poisson_log_tail(theta, float(j))
     if e2 != 0.0:
-        lt = poisson_log_tail(theta, float(j + 1))
-        if lt == -math.inf:
-            return 0.0
-        log_val += e2 * lt
+        log_val += e2 * poisson_log_tail(theta, float(j + 1))
     return math.exp(log_val)
 
 
+def _log_normal_tail(z: float) -> float:
+    """log P(Z >= z); past 37, where erfc underflows, phi(z) J_0(z)."""
+    return (math.log(0.5 * math.erfc(z / _SQRT2)) if z < 37.0
+            else math.log(_mills_moment(z, 0) / _SQRT_2PI) - 0.5 * z * z)
+
+
+def _log_normal_mass(a: float, b: float) -> float:
+    """log P(a < Z <= b), a < b, from the tail that does not cancel (or -inf)."""
+    if a >= 0.0 or b <= 0.0:
+        near, far = (a, b) if a >= 0.0 else (-b, -a)
+        log_near = _log_normal_tail(near)
+        gap = -math.expm1(_log_normal_tail(far) - log_near)
+        return log_near + math.log(gap) if gap > 0.0 else -math.inf
+    return math.log(0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2)))
+
+
 def plc_mixture_upper(params: BoundParams, x: float) -> float:
-    """Upper bound on the log-concave majorant of the mixture tail:
-    integrate the Poisson majorant against the Gaussian component,
+    """int plc(y tilde-Pi >= z) P(x - Gamma in dz), exactly, by lattice cells.
 
-        int plc(y tilde-Pi >= z) P(x - Gamma in dz).
-
-    The integrand has kinks on the lattice z = y(k - theta), so the range
-    [x - 10 sqrt(v), x + 10 sqrt(v)] is split there before adaptive
-    quadrature.
+    u = (x - Gamma)/y + theta is N(m, s^2), m = x/y + theta, s = sqrt(v)/y.
+    The majorant is 1 for u <= 0 and exp(L_j + (u - j) d_j) on (j, j+1],
+    L_j = log P(Pois(theta) >= j), d_j = L_{j+1} - L_j: a cell is
+    exp(L_j + d_j (m-j) + d_j^2 s^2/2) P(j < N(m + d_j s^2, s^2) <= j+1).
+    The walk runs down from the lower of ceil(m + 9 s), above which the
+    majorant is at most its value at m and the cells add at most 2 P(Z >= 9)
+    < 1e-18 of the sum, and theta + t, where Bernstein's P(Pois >= theta + t)
+    <= exp(-t^2 / (2 (theta + t/3))) is e^-42 P(u <= 0).  One poisson_log_tail
+    seeds L, and P(>= j) = P(>= j+1) + P(= j) carries it down.  The cells
+    are log-concave in j (Prekopa): the walk stops as _poisson_log_sum does.
     """
     _check_finite_x(x)
-    from ._quadrature import adaptive_quad
-
     rv = params.mixture()
-    v, y, theta = rv.v, rv.y, rv.theta
-    sd = math.sqrt(v)
-    z_lo, z_hi = x - 10.0 * sd, x + 10.0 * sd
-    inv = 1.0 / math.sqrt(2.0 * math.pi * v)
-
-    def f(z: float) -> float:
-        d = x - z
-        return (plc_poisson_tail(theta, z / y + theta)
-                * inv * math.exp(-0.5 * d * d / v))
-
-    k_lo = math.ceil(z_lo / y + theta)
-    k_hi = math.floor(z_hi / y + theta)
-    knots = [z_lo]
-    if k_hi >= k_lo:
-        stride = max(1, (k_hi - k_lo + 1) // 1024)
-        knots.extend(y * (k - theta) for k in range(k_lo, k_hi + 1, stride))
-    knots.append(z_hi)
-    knots = sorted(set(kn for kn in knots if z_lo <= kn <= z_hi))
-    total = 0.0
-    for a, b in zip(knots, knots[1:]):
-        total += adaptive_quad(f, a, b, rel=_REL_TOL * 0.1,
-                               abs_tol=1e-16 / max(1, len(knots)))[0]
-    return min(1.0, max(0.0, total))
+    theta, s, m = rv.theta, math.sqrt(rv.v) / rv.y, x / rv.y + rv.theta
+    _check_pos("theta", theta)
+    # The sum in units of exp(ref), its largest term so far, from P(u <= 0).
+    ref, total, log_prev = _log_normal_tail(m / s), 1.0, -math.inf
+    k = 42.0 - ref
+    t = k / 3.0 + math.sqrt(k * k / 9.0 + 2.0 * k * theta)
+    top = max(0, math.ceil(min(m + 9.0 * s, theta + t)))
+    off = top - m  # j - m as off - (top - j): cells stay apart for huge m
+    log_next = poisson_log_tail(theta, top + 1.0)
+    rho = math.exp(_poisson_logpmf(top, theta) - log_next)  # P(= j) / P(>= j+1)
+    for j in range(top, -1, -1):
+        # The walk ends at 0 or below the peak, which is at most m.
+        if max(top - j, min(off, top)) > _TERM_BUDGET:
+            raise NumericalError(f"lattice-cell sum takes over {_TERM_BUDGET} cells")
+        d = -math.log1p(rho)
+        log_cur, ds, lo = log_next - d, d * s, off - (top - j)
+        # The sum is at most P(u <= j) + P(Pois >= j); past ~1e-324 it is 0.
+        if log_cur < -746.0 and _log_normal_tail(-lo / s) < -746.0:
+            return 0.0
+        lo_t, hi_t = lo / s - ds, (lo + 1.0) / s - ds
+        log_c = log_cur - ds * (lo / s - 0.5 * ds) + _log_normal_mass(lo_t, hi_t)
+        if log_c > ref:
+            total, ref = total * math.exp(ref - log_c), log_c
+        total += math.exp(log_c - ref)
+        # Above the cell holding the tilted mean a fall is only round-off.
+        if hi_t <= 0.0 and log_c < log_prev:
+            r = math.exp(log_c - log_prev)
+            if math.exp(log_c - ref) * r <= 1e-18 * total * (1.0 - r):
+                break
+        rho *= j / theta / (1.0 + rho)
+        log_next, log_prev = log_cur, log_c
+    return min(1.0, math.exp(ref + math.log(total)))
 
 
 def lc3_bound(params: BoundParams, x: float) -> float:

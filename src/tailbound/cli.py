@@ -224,6 +224,8 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if not 0 <= args.seed <= 2**64 - 1100:  # the checks also use seed + 1 .. seed + 1099
+        raise DomainError(f"--seed must lie in [0, 2^64 - 1100], got {args.seed}")
     checks = _quick_checks(args.seed)
     if args.suite == "full":
         checks += _full_checks(args.seed)
@@ -396,3 +398,7 @@ def _full_checks(seed: int):
         ("u_crossing", u_crossing),
         ("hp_gap", hp_gap),
     ]
+
+
+if __name__ == "__main__":
+    main()

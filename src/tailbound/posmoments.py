@@ -45,26 +45,23 @@ class SlowDecayWarning(UserWarning):
 class PosMomentMethod:
     """Route selector for :func:`pos_moment`.
 
-    tag is one of "series", "laplace", "charfn"; the Laplace route carries
-    its abscissa s > 0 (None picks the default ln(1+y)/y).
+    tag is one of "series", "laplace", "charfn"; the Laplace route takes
+    the abscissa s = ln(1+y)/y, y the jump size (b for a two-point law).
     """
 
     tag: str
-    s: float | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in ("series", "laplace", "charfn"):
             raise DomainError(f"unknown method tag {self.tag!r}")
-        if self.s is not None and not (self.s > 0.0):
-            raise DomainError("laplace abscissa s must be positive")
 
     @classmethod
     def series(cls) -> PosMomentMethod:
         return cls("series")
 
     @classmethod
-    def laplace(cls, s: float | None = None) -> PosMomentMethod:
-        return cls("laplace", s)
+    def laplace(cls) -> PosMomentMethod:
+        return cls("laplace")
 
     @classmethod
     def charfn(cls) -> PosMomentMethod:
@@ -177,34 +174,24 @@ def _clamp_nonneg(value: float, err: float, what: str) -> float:
 
 
 def pos_moment_laplace(mgf: Callable[[complex], complex], w: float, p: float,
-                       s: float, j: int, moments: Sequence[float] | None = None,
-                       gauss_var: float = 0.0) -> float:
+                       s: float, gauss_var: float = 0.0) -> float:
     """E(X - w)_+^p via the Fourier-Laplace contour formula
 
-        Gamma(p+1)/pi * Int_0^inf Re[ E e_j((s+it) X') / (s+it)^{p+1} ] dt,
+        Gamma(p+1)/pi * Int_0^inf Re[ E e^{(s+it) X'} / (s+it)^{p+1} ] dt,
 
-    where X' = X - w (the shift is applied here, the caller passes the mgf
-    of X itself) and e_j is the truncated exponential remainder.  With
-    j = -1 no moments are needed; for j >= 0 supply ``moments`` as
-    [E X'^0, ..., E X'^j].
+    where X' = X - w (the caller passes the mgf of X) and s > 0 is the abscissa.
 
     Truncation of the infinite range is certified through
-    |E e^{z X'}| <= E e^{s X'} plus power bounds on the subtracted
-    polynomial, and the finite part is done by adaptive Gauss-Kronrod over
-    geometrically growing panels.  When the law contains an independent
-    Gaussian factor of variance ``gauss_var``, pass it: the mgf modulus
-    then picks up exp(-gauss_var t^2 / 2) along the contour, which turns
-    the generic t^{-p} tail bound into one that closes even for p < 1.
+    |E e^{z X'}| <= E e^{s X'}; the finite part is adaptive Gauss-Kronrod
+    over geometrically growing panels.  Pass ``gauss_var`` when the law has
+    an independent Gaussian factor of that variance: the mgf modulus then
+    picks up exp(-gauss_var t^2 / 2) along the contour, which makes the
+    t^{-p} tail bound close even for p < 1.
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise DomainError(f"p must be positive, got {p}")
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be positive, got {s}")
-    ell = math.ceil(p - 1.0)
-    if not (-1 <= j <= ell):
-        raise DomainError(f"j must lie in [-1, {ell}] for p = {p}, got {j}")
-    if j >= 0 and (moments is None or len(moments) < j + 1):
-        raise DomainError("j >= 0 requires moments [E X'^0 .. E X'^j]")
 
     def msh(z: complex) -> complex:
         return mgf(z) * cmath.exp(-z * w)
@@ -213,23 +200,11 @@ def pos_moment_laplace(mgf: Callable[[complex], complex], w: float, p: float,
 
     def integrand(t: float) -> float:
         z = complex(s, t)
-        val = msh(z)
-        if j >= 0:
-            term = 1.0 + 0j
-            acc = 0j
-            for m in range(j + 1):
-                acc += moments[m] * term
-                term *= z / (m + 1)
-            val -= acc
-        return (val / z ** (p + 1.0)).real
+        return (msh(z) / z ** (p + 1.0)).real
 
     def tail_bound(t_cut: float) -> float:
         decay = math.exp(-0.5 * gauss_var * min(t_cut * t_cut, 1500.0))
-        bound = decay * c_exp / (p * t_cut**p)
-        if j >= 0:
-            for m in range(j + 1):
-                bound += abs(moments[m]) / math.factorial(m) * t_cut ** (m - p) / (p - m)
-        return bound
+        return decay * c_exp / (p * t_cut**p)
 
     gamma_pi = math.gamma(p + 1.0) / math.pi
     # First pass over a moderate range to learn the magnitude, then extend
@@ -412,7 +387,7 @@ def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
     Two-point laws use the exact two-term sum.  Mixtures default to the
     Poisson-local sum when purely Poisson (v = 0), the Gaussian-slice
     series for alpha in {1, 2, 3}, and the Laplace contour integral with
-    s = ln(1+y)/y, j = -1 otherwise.  Pass ``method`` to force a route.
+    s = ln(1+y)/y otherwise.  Pass ``method`` to force a route.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -428,10 +403,8 @@ def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
     if route == "series":
         return pos_moment_mixture_series(rv, w, _as_small_int(alpha))
     if route == "laplace":
-        s = method.s if method is not None and method.s is not None \
-            else _default_abscissa(rv.y)
-        return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha, s,
-                                  -1, gauss_var=rv.v)
+        return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha,
+                                  _default_abscissa(rv.y), gauss_var=rv.v)
     moments = mixture_shifted_moments(rv, w, upto=6)
     return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
                              moments, w, alpha)
@@ -446,12 +419,8 @@ def _two_point_integral(rv: TwoPointRV, w: float, alpha: float,
     pn, pp = rv.prob_neg, rv.prob_pos
     a, b = rv.a, rv.b
     if method.tag == "laplace":
-        s = method.s if method.s is not None else _default_abscissa(b)
-
-        def mgf(z: complex) -> complex:
-            return pn * cmath.exp(-z * a) + pp * cmath.exp(z * b)
-
-        return pos_moment_laplace(mgf, w, alpha, s, -1)
+        return pos_moment_laplace(lambda z: pn * cmath.exp(-z * a) + pp * cmath.exp(z * b),
+                                  w, alpha, _default_abscissa(b))
     moments = [pn * (-a - w) ** m + pp * (b - w) ** m for m in range(7)]
 
     def cf(t: float) -> complex:

@@ -31,7 +31,7 @@ __all__ = [
 
 # Relative step below which Halley/Newton iterations are considered converged.
 _STEP_TOL = 1e-14
-# Relative error target of the contour and lc3 quadratures.
+# Relative error target of the contour quadrature (pos_moment_laplace).
 _REL_TOL = 1e-10
 # Absolute error floor of the quadratures; a moment at or below it has vanished.
 _ABS_TOL = 1e-300

@@ -229,3 +229,31 @@ def enumerate_brute(summands, f) -> float:
             wgt *= probs[i][side]
         total += wgt * f(s)
     return total
+
+
+def plc_mixture_cells_mp(v: float, y: float, theta: float, x: float,
+                         dps: int = 40) -> float:
+    """E plc(u) for u = (x - G)/y + theta ~ N(m, s^2), m = x/y + theta,
+    s = sqrt(v)/y, where plc is the geometric interpolation of
+    P(Pois(theta) >= u) between integers (1 for u <= 0), at ``dps`` digits.
+
+    Every lattice cell (j, j+1] with j <= m + 12 s + 20 is summed in closed
+    form, exp(L_j + d_j (m - j) + d_j^2 s^2/2) P(j < N(m + d_j s^2, s^2) <= j+1)
+    with L_j = log P(Pois >= j) from the regularized incomplete gamma and
+    d_j = L_{j+1} - L_j; nothing below the top cell is cut off.
+    """
+    with mpmath.workdps(dps):
+        v, y, th, x = (mpmath.mpf(a) for a in (v, y, theta, x))
+        m = x / y + th
+        s = mpmath.sqrt(v) / y
+        top = max(0, int(mpmath.ceil(m + 12 * s))) + 20
+        logs = [mpmath.mpf(0)] + [mpmath.log(mpmath.gammainc(j, 0, th, regularized=True))
+                                  for j in range(1, top + 2)]
+        total = mpmath.ncdf(-m / s)
+        for j in range(top + 1):
+            d = logs[j + 1] - logs[j]
+            mt = m + d * s * s
+            a, b = (j - mt) / s, (j + 1 - mt) / s
+            mass = mpmath.ncdf(b) - mpmath.ncdf(a) if b <= 0 else mpmath.ncdf(-a) - mpmath.ncdf(-b)
+            total += mpmath.exp(logs[j] + d * (m - j) + d * d * s * s / 2) * mass
+        return float(total)

@@ -1,6 +1,7 @@
 """The bound calculators: closed forms, root solves, orderings, majorants."""
 
 import math
+import time
 import warnings
 
 import mpmath
@@ -392,6 +393,43 @@ def test_lc3_bound_chain():
     for x in (2.0, 4.0):
         assert pin(P_SMALL, x).value <= lc3_bound(P_SMALL, x) * (1.0 + 1e-9)
         assert mixture_tail(P_SMALL.mixture(), x) <= lc3_bound(P_SMALL, x)
+
+
+P_DEEP = BoundParams(1.0, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("params,x", [(P_DEEP, 12.0), (P_DEEP, 20.0), (P_DEEP, 30.0),
+                                      (P_SMALL, 3.0)])
+def test_plc_mixture_matches_mpmath_cell_sum(params, x):
+    rv = params.mixture()
+    want = oracles.plc_mixture_cells_mp(rv.v, rv.y, rv.theta, x)
+    assert plc_mixture_upper(params, x) == pytest.approx(want, rel=1e-10, abs=0.0)
+    # The bound chain holds in the deep tail too, where the mass of the
+    # majorant sits far below x.
+    assert lc3_bound(params, x) >= pin(params, x).value >= mixture_tail(rv, x)
+
+
+def test_lc3_deep_tail_value():
+    # c_{3,0} times the 40-digit cell sum; nearly all of the majorant's mass
+    # comes from u far below m = x/y + theta.
+    want = c_const(3.0, 0.0) * 2.9078923176543642e-81
+    assert lc3_bound(P_DEEP, 20.0) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.5, 1.0 - 1e-9])
+@pytest.mark.parametrize("y", [0.1, 1.0, 10.0])
+def test_lc3_dominates_mixture_tail_on_edge_grid(eps, y):
+    params = BoundParams(1.0, y, eps)
+    for x in (0.01, 5.0, 60.0):
+        assert lc3_bound(params, x) >= mixture_tail(params.mixture(), x)
+
+
+def test_lc3_small_y_returns_quickly():
+    # theta = 5e5: some ten thousand lattice cells.
+    start = time.perf_counter()
+    value = lc3_bound(BoundParams(1.0, 1e-3, 0.5), 2.0)
+    assert time.perf_counter() - start < 1.0
+    assert value >= mixture_tail(BoundParams(1.0, 1e-3, 0.5).mixture(), 2.0)
 
 
 def test_effective_epsilon_grouping():

@@ -116,12 +116,16 @@ def test_eval_numerical_failure_exits_one(capsys):
     assert captured.err.startswith("error: ")
 
 
+def _subprocess_env() -> dict:
+    # A fresh interpreter that imports this checkout's tailbound.
+    src = str(pathlib.Path(tailbound.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_runs_with_scipy_blocked():
     # scipy is a test-only oracle: every command must run in an interpreter
     # where importing it fails.
-    src = str(pathlib.Path(tailbound.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     budgets = ["--sigma", "1", "--y", "1", "--eps", "0.1"]
     commands = [["eval", "--bound", b, *budgets, "--x", "3"]
                 for b in ("pin", "be", "pu", "ea")]
@@ -132,9 +136,18 @@ def test_cli_runs_with_scipy_blocked():
             "from tailbound.cli import run\n"
             f"codes = [run(argv) for argv in {commands!r}]\n"
             "print(codes, file=sys.stderr); sys.exit(any(codes))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_runs_eval():
+    argv = ["eval", "--bound", "bh", "--sigma", "1", "--y", "1", "--x", "1"]
+    proc = subprocess.run([sys.executable, "-m", "tailbound.cli", *argv],
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"value\n{bh(1.0, 1.0, 1.0).value:.12e}\n"
 
 
 def test_eval_domain_error_maps_to_two(capsys):
@@ -279,6 +292,19 @@ def test_validate_quick_suite(capsys):
     assert header == ["check", "status"]
     assert len(rows) == 7
     assert all(r[1] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1099])
+def test_validate_out_of_range_seed_is_usage_error(capsys, seed):
+    # The checks seed samplers with up to seed + 1099, which must be < 2^64.
+    assert run(["validate", "--suite", "quick", "--seed", str(seed)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --seed must lie in [0, 2^64 - 1100], got {seed}\n"
+
+
+def test_validate_accepts_top_seed(capsys):
+    assert run(["validate", "--suite", "quick", "--seed", str(2**64 - 1100)]) == 0
 
 
 def test_validate_full_suite(capsys):
