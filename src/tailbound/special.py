@@ -184,6 +184,9 @@ def _poisson_logpmf(k: int, theta: float) -> float:
 # Terms one Poisson-count sum may take.  A sum needs about 18 sqrt(theta)
 # terms around its peak, so this covers theta up to about 2e8.
 _TERM_BUDGET = 1 << 18
+# Counts the peak search of _poisson_log_sum steps one at a time before it
+# doubles.
+_PEAK_SCAN = 4
 _NORMAL_MIN = sys.float_info.min
 
 
@@ -194,28 +197,48 @@ def _poisson_log_sum(theta: float, f: Callable[[int], float],
 
     The term ratio theta/(k+1) * f(k+1)/f(k) is then nonincreasing in k, so
     the terms rise to one peak, at or above the Poisson mode, and fall away
-    on both sides.  The peak is found by doubling and bisection on the sign
-    of that ratio; the sum walks up from it, then down, carrying each term
-    (in units of the peak term) from the last by the ratio, so only the peak
-    needs an lgamma.  Each side stops once its latest ratio r < 1 bounds the
-    rest, at most t r / (1 - r), by 1e-18 of the sum.  Values of f below the
-    smallest normal double count as zero (an absolute error below 1e-307).
-    Raises NumericalError past _TERM_BUDGET terms.
+    on both sides.  The peak is the first k from max(k_min, floor(theta))
+    on where that ratio is at most 1.  Most peaks lie within a few counts of
+    the start, so the search steps up one count at a time, carrying f(k+1)
+    forward, for _PEAK_SCAN counts, and then doubles and bisects on the sign
+    of the ratio.  The sum walks up from the peak, then down, carrying each
+    term (in units of the peak term) from the last by the ratio, so only the
+    peak needs an lgamma.  Each side stops once its latest ratio r < 1
+    bounds the rest, at most t r / (1 - r), by 1e-18 of the sum.  Values of
+    f below the smallest normal double count as zero (an absolute error
+    below 1e-307).  Raises NumericalError past _TERM_BUDGET terms.
     """
-    def rising(k: int) -> bool:
+    def at_peak(k: int) -> tuple[float, float] | None:
+        """(f(k), f(k+1)) when the ratio at k is at most 1, else None."""
         fk = f(k)
-        return fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk
+        if fk < _NORMAL_MIN:
+            return None
+        f_next = f(k + 1)
+        return None if theta * f_next > (k + 1) * fk else (fk, f_next)
 
-    peak, step = max(k_min, math.floor(theta)), 1
-    if rising(peak):
-        while rising(peak + step):
-            peak, step = peak + step, 2 * step
-        hi = peak + step
-        while hi - peak > 1:
-            mid = (peak + hi) // 2
-            peak, hi = (mid, hi) if rising(mid) else (peak, mid)
-        peak = hi
-    f_peak, total, terms = f(peak), 1.0, 0
+    peak = max(k_min, math.floor(theta))
+    f_peak, f_next = f(peak), f(peak + 1)
+    scanned = 0
+    while f_peak < _NORMAL_MIN or theta * f_next > (peak + 1) * f_peak:
+        if scanned == _PEAK_SCAN:
+            step = 2
+            while (found := at_peak(peak + step)) is None:
+                peak, step = peak + step, 2 * step
+            hi = peak + step
+            while hi - peak > 1:
+                mid = (peak + hi) // 2
+                got = at_peak(mid)
+                if got is None:
+                    peak = mid
+                else:
+                    hi, found = mid, got
+            peak = hi
+            f_peak, f_next = found
+            break
+        peak += 1
+        scanned += 1
+        f_peak, f_next = f_next, f(peak + 1)
+    total, terms = 1.0, 0
     for step in (1, -1):
         t, f_prev, k = 1.0, f_peak, peak
         while step > 0 or k > k_min:
@@ -251,7 +274,7 @@ def poisson_tail(theta: float, u: float) -> float:
         return 1.0
     if theta == 0.0:
         return 0.0
-    return min(1.0, math.exp(_poisson_log_sum(theta, lambda k: 1.0, math.ceil(u))))
+    return math.exp(_log_tail(theta, math.ceil(u)))
 
 
 def poisson_log_tail(theta: float, u: float) -> float:
@@ -261,7 +284,18 @@ def poisson_log_tail(theta: float, u: float) -> float:
         return 0.0
     if theta == 0.0:
         return -math.inf
-    return min(0.0, _poisson_log_sum(theta, lambda k: 1.0, math.ceil(u)))
+    return _log_tail(theta, math.ceil(u))
+
+
+def _log_tail(theta: float, k_min: int) -> float:
+    """log P(Pois(theta) >= k_min) for theta > 0 and k_min >= 1.  From
+    k_min <= theta - sqrt(75 theta) down, the Chernoff bound
+    P(Pois <= theta - t) <= exp(-t^2 / (2 theta)) = e^-37.5 < 2^-54 rounds
+    the tail to 1, so it is 1 without a walk (which past theta ~ 2e8 would
+    exceed the term budget)."""
+    if k_min <= theta - math.sqrt(75.0 * theta):
+        return 0.0
+    return min(0.0, _poisson_log_sum(theta, lambda k: 1.0, k_min))
 
 
 def _check_poisson_args(who: str, theta: float, u: float) -> None:

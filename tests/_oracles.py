@@ -257,3 +257,56 @@ def plc_mixture_cells_mp(v: float, y: float, theta: float, x: float,
             mass = mpmath.ncdf(b) - mpmath.ncdf(a) if b <= 0 else mpmath.ncdf(-a) - mpmath.ncdf(-b)
             total += mpmath.exp(logs[j] + d * (m - j) + d * d * s * s / 2) * mass
         return float(total)
+
+
+def mills_power_mp(z, p):
+    """J_p(z) = Int_0^inf u^p exp(-z u - u^2/2) du = Gamma(p+1) e^{z^2/4}
+    D_{-p-1}(z) (DLMF 12.5.1), at the working precision."""
+    z, p = mpmath.mpf(z), mpmath.mpf(p)
+    return mpmath.gamma(p + 1) * mpmath.exp(z * z / 4) * mpmath.pcfd(-p - 1, z)
+
+
+def mixture_pos_moment_mp(v, y, theta, w, p):
+    """E(G + y (Pois(theta) - theta) - w)_+^p, G ~ N(0, v), at the working
+    precision: each Poisson count k adds pmf(k) sqrt(v)^p phi(z) J_p(z) with
+    z = -(y (k - theta) - w) / sqrt(v).  Past k = theta the terms fall
+    faster than geometrically, so the sum stops there once a term is below
+    1e-24 of the total."""
+    v, y, theta, w, p = (mpmath.mpf(a) for a in (v, y, theta, w, p))
+    s = mpmath.sqrt(v)
+    total = mpmath.mpf(0)
+    for k in range(4000):
+        z = -(y * (k - theta) - w) / s
+        pmf = mpmath.exp(-theta + k * mpmath.log(theta) - mpmath.loggamma(k + 1))
+        term = pmf * s**p * mpmath.npdf(z) * mills_power_mp(z, p)
+        total += term
+        if k > theta and term < mpmath.mpf(10) ** -24 * total:
+            return total
+    raise ArithmeticError("mixture moment sum did not settle")
+
+
+def p_alpha_mp(v, y, theta, alpha, x, dps=30):
+    """P_alpha = E(eta - t)_+^alpha / (x - t)^alpha at the root t of
+    m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1} = x, solved by the
+    Illinois method at ``dps`` digits on [x - 4 sd, x - 1e-9 sd].  t is
+    stationary for the ratio, so t to 1e-14 already fixes it to ~1e-28."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        sd = mpmath.sqrt(mpmath.mpf(v) + mpmath.mpf(y) ** 2 * mpmath.mpf(theta))
+
+        def excess(t):
+            return (t + mixture_pos_moment_mp(v, y, theta, t, alpha)
+                    / mixture_pos_moment_mp(v, y, theta, t, alpha - 1) - x)
+
+        t = mpmath.findroot(excess, (x - 4 * sd, x - sd / 10**9), solver="illinois",
+                              tol=1e-14, verify=False)
+        return float(mixture_pos_moment_mp(v, y, theta, t, alpha) / (x - t) ** alpha)
+
+
+def hp_gap_mp(p, a, dps=30):
+    """E(eta + a)_+^p - a (1 + a)^{p-1} for the mixture of budgets
+    (sigma, y, eps) = (sqrt(a), 1, 1/(1+a)): v = a^2/(1+a), theta = a/(1+a)."""
+    with mpmath.workdps(dps):
+        p, a = mpmath.mpf(p), mpmath.mpf(a)
+        e_mix = mixture_pos_moment_mp(a * a / (1 + a), 1, a / (1 + a), -a, p)
+        return float(e_mix - a * (1 + a) ** (p - 1))

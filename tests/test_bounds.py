@@ -124,7 +124,7 @@ def test_pu_stable_across_eps_range(eps):
     for x in (0.5, 2.0, 10.0):
         got = pu(p, x).value
         ref = pu_numeric(p, x).value
-        assert got == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
         if eps > 1.0 - 1e-11:
             assert got == pytest.approx(bh(1.0, 1.0, x).value, rel=1e-6)
 
@@ -222,8 +222,18 @@ def test_p_alpha_diagnostic_stays_small():
 def test_p_alpha_reports_route():
     rv = P_SMALL.mixture()
     assert p_alpha(rv, 3.0, 2.0).method == "series"
-    assert p_alpha(rv, 2.5, 2.0).method == "laplace"
+    assert p_alpha(rv, 2.5, 2.0).method == "series"
     assert be(P_SMALL, 2.0).method == "poisson-local"
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 4.0, 6.0])
+def test_p_alpha_any_power_against_mpmath(alpha):
+    # Fractional powers and integers past 3 take the Gaussian-slice series
+    # too; the reference solves m(t) = x on 30-digit parabolic-cylinder
+    # slices.
+    rv = P_SMALL.mixture()
+    want = oracles.p_alpha_mp(rv.v, rv.y, rv.theta, alpha, 2.0)
+    assert p_alpha(rv, alpha, 2.0).value == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_p_alpha_reports_exact_for_two_point_series():
@@ -288,7 +298,7 @@ def test_pin_deep_tail_value():
     # 35 standard deviations out, at theta = 10; mpmath (benchmark
     # reference, golden section on P_3) gives 2.18704990305284e-222.
     assert pin(BoundParams(1.0, 0.1, 0.1), 35.0).value == pytest.approx(
-        2.18704990305e-222, rel=1e-9)
+        2.18704990305e-222, rel=1e-9, abs=0.0)
 
 
 def test_pin_method_override_consistency():
@@ -488,7 +498,7 @@ def _ea_mpmath(x):
 def test_ea_against_mpmath(x):
     # 1 and 1.5 sit below 4 phi(0) (the t -> 0 limit, clamped at 1); the
     # optimal t crosses 5 between x = 5 and 8; ea(37) ~ 5.1e-299.
-    assert ea(x) == pytest.approx(_ea_mpmath(x), rel=1e-10)
+    assert ea(x) == pytest.approx(_ea_mpmath(x), rel=1e-10, abs=0.0)
 
 
 def test_ea_clamps_and_validates():

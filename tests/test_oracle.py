@@ -282,6 +282,12 @@ def test_hp_gap_frozen_values():
     assert 12.5 < ratio < 50.0
 
 
+@pytest.mark.parametrize("p,a", [(2.5, 0.05), (2.8, 0.02)])
+def test_hp_gap_against_mpmath(p, a):
+    assert hp_counterexample_gap(p, a) == pytest.approx(oracles.hp_gap_mp(p, a),
+                                                        rel=1e-10, abs=0.0)
+
+
 def test_hp_gap_vanishes_at_three():
     assert hp_counterexample_gap(3.0, 0.01) >= -1e-6
 

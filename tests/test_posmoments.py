@@ -5,7 +5,7 @@ import warnings
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -23,8 +23,12 @@ from tailbound import (
     pos_moment_laplace,
     pos_moment_mixture_series,
     pos_moment_poisson_local,
+    posmoments,
 )
-from tailbound.posmoments import _gauss_partial_moment, _mills_moment
+from tailbound.bounds import p_alpha
+from tailbound.oracle import hp_counterexample_gap
+from tailbound.posmoments import (_gauss_partial_moment, _gauss_power_moment, _mills_moment,
+                                  _mills_power)
 
 MIX = MixtureRV(0.9, 1.0, 0.1)
 
@@ -74,7 +78,23 @@ def test_mills_moment_continued_fraction(alpha):
         z = 5.0 + 0.5 * i
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         assert phi * _mills_moment(z, alpha) == pytest.approx(
-            _gauss_partial_moment_mp(1.0, -z, alpha), rel=5e-13)
+            _gauss_partial_moment_mp(1.0, -z, alpha), rel=5e-13, abs=0.0)
+
+
+@given(st.one_of(st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
+                 st.integers(min_value=4, max_value=8).map(float)),
+       st.floats(min_value=-40.0, max_value=40.0))
+def test_mills_power_against_pcfd(p, z):
+    # J_p(z) = Gamma(p+1) e^{z^2/4} D_{-p-1}(z) from z = -8 up, where the
+    # slices use it; below, the slice phi(z) J_p(z) itself, which is the
+    # Gaussian moment expansion there (J_p overflows below z ~ -37.6).
+    with mpmath.workdps(30):
+        want = oracles.mills_power_mp(z, p)
+        if z >= -8.0:
+            assert _mills_power(z, p) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        else:
+            assert _gauss_power_moment(1.0, -z, p) == pytest.approx(
+                float(mpmath.npdf(z) * want), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -84,7 +104,7 @@ def test_gauss_partial_moment_deep_slices(alpha):
     for z0 in (5.3, 8.4, 12.6, 17.0, 25.0, 37.0):
         mu = -z0 * math.sqrt(0.9)
         assert _gauss_partial_moment(0.9, mu, alpha) == pytest.approx(
-            _gauss_partial_moment_mp(0.9, mu, alpha), rel=5e-13)
+            _gauss_partial_moment_mp(0.9, mu, alpha), rel=5e-13, abs=0.0)
 
 
 def test_gauss_partial_moment_degenerate():
@@ -115,7 +135,7 @@ def test_series_deep_shift_against_mpmath(w, want):
     # The Poisson mass behind these moments sits far above theta = 90; a
     # sum from k = 0 with a relative stop returned 1.9e-315 and 0 here.
     rv = BoundParams(1.0, 0.1, 0.9).mixture()
-    assert pos_moment(rv, w, 2) == pytest.approx(want, rel=1e-12)
+    assert pos_moment(rv, w, 2) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_series_pure_gaussian_slice():
@@ -130,9 +150,10 @@ def test_series_delegates_pure_poisson():
         pos_moment_poisson_local(2.0, 0.5, 0.4, 3.0), rel=1e-14)
 
 
-def test_series_rejects_fractional_alpha():
-    with pytest.raises(DomainError):
-        pos_moment_mixture_series(MIX, 0.0, 2.5)  # type: ignore[arg-type]
+def test_series_rejects_bad_alpha():
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pos_moment_mixture_series(MIX, 0.0, alpha)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
@@ -188,9 +209,9 @@ def test_laplace_two_point_exact_half():
 
 @pytest.mark.parametrize("p,w", [(0.5, 1.0), (1.7, -0.5), (4.5, -2.0)])
 def test_laplace_fractional_powers(p, w):
-    got = pos_moment(MIX, w, p)
     ref = oracles.mixture_pos_moment_quad(MIX.v, MIX.y, MIX.theta, w, p)
-    assert got == pytest.approx(ref, rel=1e-8)
+    for method in (PosMomentMethod.laplace(), None):
+        assert pos_moment(MIX, w, p, method) == pytest.approx(ref, rel=1e-8)
 
 
 def test_laplace_validation():
@@ -201,7 +222,7 @@ def test_laplace_validation():
 
 
 def test_laplace_far_right_tail_clamps_clean():
-    got = pos_moment(MIX, 40.0, 2.5)
+    got = pos_moment(MIX, 40.0, 2.5, PosMomentMethod.laplace())
     assert 0.0 <= got < 1e-12
 
 
@@ -297,10 +318,40 @@ def test_dispatcher_pure_poisson_routes_to_local():
         pos_moment_poisson_local(2.0, 0.5, 0.4, 2.5), rel=1e-14)
 
 
-def test_dispatcher_fractional_routes_to_laplace():
+def test_dispatcher_fractional_routes_to_series():
     got = pos_moment(MIX, 1.0, 2.5)
+    assert got == pos_moment(MIX, 1.0, 2.5, PosMomentMethod.series())
     forced = pos_moment(MIX, 1.0, 2.5, PosMomentMethod.laplace())
     assert got == pytest.approx(forced, rel=1e-10)
+
+
+@settings(max_examples=25)
+@given(st.floats(min_value=-3.0, max_value=4.0),
+       st.floats(min_value=0.3, max_value=6.0))
+def test_series_any_power_agrees_with_laplace(w, alpha):
+    lap = pos_moment(MIX, w, alpha, PosMomentMethod.laplace())
+    assert pos_moment(MIX, w, alpha) == pytest.approx(lap, rel=1e-9)
+
+
+def test_default_route_runs_no_quadrature(monkeypatch):
+    # A count of quadrature calls holds on any host, where a timing would
+    # not: every default route is quadrature-free, the forced audit is not.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    quad = posmoments.adaptive_quad
+    monkeypatch.setattr(posmoments, "adaptive_quad", counted)
+    rv = BoundParams(1.0, 0.5, 0.3).mixture()
+    for alpha in (1.5, 2.5, 6.0):
+        p_alpha(rv, alpha, 3.0)
+    hp_counterexample_gap(2.5, 0.05)
+    hp_counterexample_gap(2.8, 0.02)
+    assert calls == []
+    p_alpha(rv, 2.5, 3.0, method=PosMomentMethod.laplace())
+    assert len(calls) > 0
 
 
 def test_dispatcher_rejects_bad_alpha():
@@ -309,7 +360,8 @@ def test_dispatcher_rejects_bad_alpha():
     with pytest.raises(DomainError):
         pos_moment(MIX, 0.0, math.inf)
     with pytest.raises(DomainError):
-        pos_moment(MIX, 0.0, 2.5, PosMomentMethod.series())
+        pos_moment(MIX, 0.0, -1.0, PosMomentMethod.series())
+    assert pos_moment(MIX, 0.0, 2.5, PosMomentMethod.series()) == pos_moment(MIX, 0.0, 2.5)
 
 
 def test_dispatcher_rejects_unknown_law():

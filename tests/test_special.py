@@ -81,7 +81,9 @@ def test_bennett_psi_exact_points():
 def test_bennett_psi_series_crossover(u):
     with mpmath.workdps(40):
         ref = float((1 + mpmath.mpf(u)) * mpmath.log1p(mpmath.mpf(u)) - u)
-    assert bennett_psi(u) == pytest.approx(ref, rel=1e-13)
+    # Past the crossover the direct form keeps only ~1e-12 relative, so those
+    # two points are held to approx's default absolute 1e-12.
+    assert bennett_psi(u) == pytest.approx(ref, rel=1e-13, abs=0.0 if abs(u) < 1e-4 else 1e-12)
 
 
 @given(st.floats(min_value=-0.99, max_value=50.0))
@@ -114,11 +116,23 @@ def test_poisson_tail_head_complement():
                                                    rel=1e-14)
 
 
+def test_poisson_tail_rounds_to_one_at_any_rate():
+    # From theta - sqrt(75 theta) down the tail is 1 to double precision;
+    # at theta = 1e10 a walk would exceed its term budget.
+    assert poisson_tail(1e10, 5.0) == 1.0
+    assert poisson_log_tail(1e10, 5.0) == 0.0
+    assert poisson_tail(1e4, 100.0) == 1.0
+    # Above the cut (13.4 at theta = 100) the walk still runs: 5 sd below
+    # the mode the tail is 1 - 1.2e-8.
+    assert poisson_tail(100.0, 50.0) == pytest.approx(oracles.poisson_tail_mp(100.0, 50.0),
+                                                      rel=1e-13, abs=0.0)
+
+
 def test_poisson_tail_deep_right_tail():
     # Far past the mode the head sum would lose everything to cancellation;
     # the upward log-space sum keeps full relative accuracy.
     assert poisson_tail(0.6, 15.0) == pytest.approx(2.049997244750883e-16,
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 5.0, 20.0])
@@ -189,7 +203,7 @@ def test_normal_tail_values():
     assert normal_tail(1.0, 0.0) == 0.5
     with mpmath.workdps(40):
         ref = float(mpmath.ncdf(-8.0))
-    assert normal_tail(1.0, 8.0) == pytest.approx(ref, rel=1e-13)
+    assert normal_tail(1.0, 8.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
     # Variance scaling: P(N(0,v) >= x) = P(N(0,1) >= x/sqrt(v)).
     assert normal_tail(4.0, 3.0) == pytest.approx(normal_tail(1.0, 1.5),
                                                   rel=1e-14)
@@ -206,7 +220,7 @@ def test_normal_tail_deep_keeps_relative_accuracy():
     got = normal_tail(1.0, 38.0)
     with mpmath.workdps(60):
         ref = float(mpmath.ncdf(-38.0))
-    assert got == pytest.approx(ref, rel=1e-12)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert 0.0 < got < 1e-300
 
 
@@ -226,7 +240,7 @@ def test_exp_remainder_against_mpmath(j, u):
         z = mpmath.mpf(u)
         ref = mpmath.e**z - sum(z**m / mpmath.factorial(m) for m in range(j + 1))
         ref = float(ref)
-    assert exp_remainder(j, u) == pytest.approx(ref, rel=1e-13)
+    assert exp_remainder(j, u) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @given(st.integers(min_value=0, max_value=3),
