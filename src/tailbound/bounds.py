@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
 from .posmoments import (_SQRT_2PI, PosMomentMethod, _gauss_partial_moment, _mills_moment,
-                         _route, pos_moment)
-from .special import (_ABS_TOL, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
+                         _pos_moment_triple, _route, pos_moment)
+from .special import (_ABS_TOL, _MAX_ITER, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
                       bennett_psi, exp_remainder, lambert_w0_log, poisson_log_tail)
 
 __all__ = [
@@ -55,6 +55,8 @@ _MAX_EXP_ARG = 700.0
 # m(0) = E Z_+^3 / E Z_+^2 = 4 phi(0) for the standard normal Z.
 _FOUR_PHI0 = 4.0 / _SQRT_2PI
 _SQRT2 = math.sqrt(2.0)
+# The standard normal law, whose t_x seeds every other solve.
+_STD_NORMAL = MixtureRV(1.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +204,8 @@ def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
 
 
 def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
-    """m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1}.
+    """m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1}, from one fused
+    moment walk (:func:`tailbound.posmoments._pos_moment_triple`).
 
     Strictly increasing in t up to the point where it saturates at the
     supremum of the support; the inverse of t |-> m(t) is what
@@ -210,8 +213,7 @@ def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
     """
     if not (alpha > 1.0):
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    num = pos_moment(rv, t, alpha)
-    den = pos_moment(rv, t, alpha - 1.0)
+    num, den, _ = _pos_moment_triple(rv, t, alpha)
     if den <= _ABS_TOL:
         raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
     return t + num / den
@@ -223,27 +225,104 @@ def _support_sup(rv: MixtureRV | TwoPointRV) -> float:
 
 def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> float:
     """The unique t with m(t) = x, for x strictly between the mean and the
-    support supremum.
+    support supremum, by the safeguarded Newton iteration of
+    :func:`_solve_t_x`."""
+    return _solve_t_x(rv, alpha, x)[0]
 
-    The bracket starts at [x - 4 stddev, x - 1e-12 max(1,|x|)] and the left
-    offset doubles until m drops below x there; Brent's method
-    (:func:`tailbound.special._root_in_bracket`) finishes.  When round-off in
-    m leaves no sign change on that bracket (far out in the tail), or m is
-    NaN, the failure is a NumericalError.
+
+def _solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float,
+               x: float) -> tuple[float, float, float]:
+    """(t_x, E(eta-t_x)_+^alpha, E(eta-t_x)_+^{alpha-1}), the moments from
+    the solve's last walk.
+
+    Each step makes one fused walk, (N_a, N_{a-1}, N_{a-2}) at t with
+    N_p = E(eta-t)_+^p, which gives m(t) and m'(t) = 1 - a + (a-1) N_a
+    N_{a-2} / N_{a-1}^2, and takes a Newton step on m(t) = x.  For
+    1 < alpha < 2, where a - 2 < 0, the slope is the secant through the last
+    two points (1 at the first: 0 < m' <= 1 for log-concave laws).  On the
+    Poisson lattice (v = 0) at alpha = 2, h(t) = N_2 - (x-t) N_1 is linear in
+    t within one lattice cell, so the step that zeroes it is taken instead
+    whenever it stays in the cell: it lands on the root.
+
+    The seed is the Gaussian limit of the same variance (:func:`_gauss_seed`).
+    Every point narrows a sign bracket [lo, hi] of m - x, whose right end
+    starts at x - 1e-12 max(1, |x|) unevaluated.  A step that leaves the
+    bracket bisects it; while no left end is known, one that runs left of
+    x - 2 (x - t) stops there, so the offset from x at most doubles.  The
+    solve ends at the first point whose step, or bracket, is below
+    (1e-12 max(1, |x|, sd) + 1e-12 |t|) / 2, the tolerance of the Brent
+    solve this replaces: m - x cancels by |t| / |x - t|, so a finer one
+    need not be met.  A NaN m, a vanished N_{a-1}, no sign change
+    (m < x at the right end, or no left end by offset 1e12 sd) and
+    _MAX_ITER steps are a NumericalError.
     """
     x_star = _support_sup(rv)
     if not (0.0 < x < x_star):
         raise DomainError(f"x must lie in (mean, sup support) = (0, {x_star}), got {x}")
     sd = rv.stddev if isinstance(rv, MixtureRV) else math.sqrt(rv.second_moment)
-    right = x - 1e-12 * max(1.0, abs(x))
-    off = 4.0 * sd
-    g = lambda t: m_function(rv, alpha, t) - x
-    while g(x - off) > 0.0:
-        off *= 2.0
-        if off > 1e12 * sd:
-            raise NumericalError("left bracket for t_x not found")
-    return _root_in_bracket(g, x - off, right, rtol=1e-12,
-                            xtol=1e-12 * max(1.0, abs(x), sd))
+    return _newton_t_x(rv, alpha, x, sd, _gauss_seed(alpha, x, sd))
+
+
+def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
+                t: float) -> tuple[float, float, float]:
+    """The iteration of :func:`_solve_t_x` from the seed t."""
+    x_tol = 1e-12 * max(1.0, abs(x), sd)
+    lo, hi = -math.inf, x - 1e-12 * max(1.0, abs(x))
+    hi_seen = False
+    lattice2 = alpha == 2.0 and isinstance(rv, MixtureRV) and rv.v == 0.0
+    t, t_prev, g_prev = min(t, hi), math.nan, math.nan
+    for _ in range(_MAX_ITER):
+        n_a, n_b, n_c = _pos_moment_triple(rv, t, alpha)
+        if n_b <= _ABS_TOL:
+            raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
+        g = t + n_a / n_b - x
+        if math.isnan(g):
+            raise NumericalError(f"m(t) is NaN at t = {t}")
+        if g == 0.0:
+            return t, n_a, n_b
+        if g > 0.0:
+            hi, hi_seen = t, True
+        elif t == hi:
+            raise NumericalError(f"no sign change of m(t) - x below t = {t}")
+        else:
+            lo = t
+        if alpha >= 2.0:
+            slope = 1.0 - alpha + (alpha - 1.0) * (n_a / n_b) * (n_c / n_b)
+        else:
+            slope = (g - g_prev) / (t - t_prev) if t_prev == t_prev else 1.0
+        step = -g / slope if slope > 0.0 else math.nan
+        tol = 0.5 * (x_tol + 1e-12 * abs(t))
+        in_cell = False
+        # h' = (x-t) N_0 - N_1, positive near the root (Cauchy-Schwarz).
+        if lattice2 and (dh := (x - t) * n_c - n_b) > 0.0:
+            t_cell = t - (n_a - (x - t) * n_b) / dh
+            edge = rv.y * (math.floor(t / rv.y + rv.theta) - rv.theta)
+            if edge - tol <= t_cell <= edge + rv.y + tol:
+                step, in_cell = t_cell - t, True
+        if abs(step) <= tol or hi - lo <= 2.0 * tol:
+            return t, n_a, n_b
+        t_prev, g_prev, t_new = t, g, t + step
+        if lo == -math.inf and not in_cell:
+            t_new = max(t_new, x - 2.0 * (x - t)) if t_new == t_new else x - 2.0 * (x - t)
+            if x - t_new > 1e12 * sd:
+                raise NumericalError("left bracket for t_x not found")
+        if not (lo < t_new < hi):
+            t_new = 0.5 * (lo + hi) if hi_seen else hi
+        t = t_new
+    raise NumericalError(f"t_x solve did not converge in {_MAX_ITER} steps", estimate=t)
+
+
+def _gauss_seed(alpha: float, x: float, sd: float) -> float:
+    """t_x of the Gaussian law of standard deviation sd: m_G(t) = t + sd
+    J_a(t/sd) / J_{a-1}(t/sd) = x, solved as :func:`_solve_t_x` solves (one
+    slice per step, no walk) from its large-x asymptote t = x - a sd^2 / x,
+    which is itself the seed past 6 sd."""
+    if x > 6.0 * sd:
+        return x - alpha * sd * sd / x
+    u = x / sd
+    # Its small-x asymptote is t = -(a - 1) sd^2 / x.
+    u0 = u - alpha / u if u > 1.0 else (1.0 - alpha) / u
+    return sd * _newton_t_x(_STD_NORMAL, alpha, u, 1.0, u0)[0]
 
 
 def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
@@ -253,10 +332,13 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
         P_alpha(eta; x) = inf_{t < x} E(eta - t)_+^alpha / (x - t)^alpha.
 
     Equals 1 at and below the mean, the atom mass at and beyond the support
-    supremum, and otherwise evaluates at t_x.  The equivalent expression
-    (E(eta-t_x)_+^{alpha-1})^alpha / (E(eta-t_x)_+^alpha)^{alpha-1} is
-    recomputed as a consistency diagnostic and its discrepancy reported in
-    err_estimate.
+    supremum, and otherwise is the ratio at the t_x of :func:`_solve_t_x`,
+    with the moments of its last walk (or of the route ``method`` forces).
+    That ratio bounds P(eta >= x) whatever the root error, and a root error
+    moves it only at second order.  The equivalent expression
+    (E(eta-t_x)_+^{alpha-1})^alpha / (E(eta-t_x)_+^alpha)^{alpha-1}, exact
+    where m(t_x) = x holds exactly, is the consistency diagnostic: its
+    discrepancy is err_estimate.
     """
     if not (alpha > 1.0):
         raise DomainError(f"alpha must exceed 1, got {alpha}")
@@ -266,9 +348,10 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
     if x >= x_star:
         atom = rv.prob_pos if (isinstance(rv, TwoPointRV) and x == x_star) else 0.0
         return TailBoundResult(atom, math.nan, "boundary")
-    t_x = solve_t_x(rv, alpha, x)
-    e_hi = pos_moment(rv, t_x, alpha, method=method)
-    e_lo = pos_moment(rv, t_x, alpha - 1.0, method=method)
+    t_x, e_hi, e_lo = _solve_t_x(rv, alpha, x)
+    if method is not None:
+        e_hi = pos_moment(rv, t_x, alpha, method=method)
+        e_lo = pos_moment(rv, t_x, alpha - 1.0, method=method)
     value = e_hi / (x - t_x) ** alpha
     # Same quantity written without x, exact when m(t_x) = x holds exactly.
     if e_hi > 0.0 and e_lo > 0.0:

@@ -11,6 +11,7 @@ makes their agreement a meaningful test.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from typing import Callable, Sequence
 
 from ._quadrature import adaptive_quad
 from .distributions import MixtureRV, TwoPointRV, mixture_mgf
-from .errors import DomainError, NumericalError
-from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sum
+from .errors import DomainError, NumericalError, RangeError
+from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sum, _poisson_log_sums
 
 __all__ = [
     "PosMomentMethod",
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 _EPS = 2.0**-53
 
 
@@ -136,15 +138,25 @@ def _gauss_power_moment(v: float, mu: float, p: float) -> float:
 
 def _mills_moment(z: float, n: int) -> float:
     """J_n(z) = Int_0^inf u^n exp(-z u - u^2/2) du, so E(Z - z)_+^n =
-    phi(z) J_n(z), from the continued fraction J_m/J_{m-1} = m/(z + J_{m+1}/J_m)
-    (by parts; z J_0 + J_1 = 1) run backward from depth 10 + 800/z^2.  That
-    agrees with 50-digit mpmath within 5e-13 for 5 <= z < 38."""
-    rho, j = 0.0, 1.0
-    for m in range(10 + int(800.0 / (z * z)), 0, -1):
+    phi(z) J_n(z); see :func:`_mills_moments`."""
+    return _mills_moments(z, n)[0]
+
+
+def _mills_moments(z: float, n: int, count: int = 1) -> list[float]:
+    """[J_n(z), J_{n-1}(z), ..., J_{n-count+1}(z)] for count <= n + 1, with
+    J_m as in :func:`_mills_moment`, from one run of the continued fraction
+    J_m/J_{m-1} = m/(z + J_{m+1}/J_m) (by parts; z J_0 + J_1 = 1) backward
+    from depth 10 + 800/z^2.  That agrees with 50-digit mpmath within 5e-13
+    for 5 <= z < 38."""
+    rho, js = 0.0, [1.0] * count
+    for m in range(10 + int(800.0 / (z * z)), n, -1):
         rho = m / (z + rho)
-        if m <= n:
-            j *= rho
-    return j / (z + rho)
+    for m in range(n, 0, -1):
+        rho = m / (z + rho)
+        # J_{n-i} is J_0 times the ratios of the orders m <= n - i.
+        for i in range(min(count, n - m + 1)):
+            js[i] *= rho
+    return [j / (z + rho) for j in js]
 
 
 def _mills_power(z: float, p: float) -> float:
@@ -236,6 +248,97 @@ def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: float) -> float:
     v, y, theta = rv.v, rv.y, rv.theta
     return math.exp(_poisson_log_sum(
         theta, lambda k: gauss(v, y * (k - theta) - w, alpha)))
+
+
+def _gauss_partial_triple(v: float, s: float, mu: float,
+                          alpha: int) -> tuple[float, float, float]:
+    """The slices E(sqrt(v) Z + mu)_+^p, s = sqrt(v), of the three powers
+    p = alpha, alpha - 1, alpha - 2 for alpha in {2, 3}, as
+    :func:`_gauss_partial_moment` forms each (the power-0 slice is Q), from
+    one erfc and one exp; past z0 = 5 from one :func:`_mills_moments` run."""
+    z0 = -mu / s
+    phi = math.exp(-0.5 * z0 * z0) / _SQRT_2PI
+    if z0 > 5.0:
+        j0, j1, j2 = _mills_moments(z0, alpha, 3)
+        return s**alpha * phi * j0, s**(alpha - 1) * phi * j1, s**(alpha - 2) * phi * j2
+    q = 0.5 * math.erfc(z0 / _SQRT2)
+    e1 = s * phi + mu * q
+    e2 = (v + mu * mu) * q + s * mu * phi
+    if alpha == 2:
+        return e2, e1, q
+    return mu * (3.0 * v + mu * mu) * q + s * (2.0 * v + mu * mu) * phi, e2, e1
+
+
+def _slices(rv: MixtureRV, w: float, alpha: float) -> tuple[
+        Callable[[float], float], Callable[[float], tuple[float, float, float]]]:
+    """(mu |-> the slice of the power alpha, mu |-> the slices of the powers
+    alpha, alpha - 1 and alpha - 2), a slice being E(sqrt(v) Z + mu - w)_+^p:
+    closed forms for alpha in {2, 3}, :func:`_gauss_power_moment` per power
+    otherwise, and the powers of (mu - w)_+ themselves for v = 0.  For
+    alpha < 2 the third power is alpha - 1 again."""
+    a1 = alpha - 1.0
+    a2 = alpha - 2.0 if alpha >= 2.0 else a1
+    if rv.v == 0.0:
+        def lattice(mu: float) -> tuple[float, float, float]:
+            d = mu - w
+            return (d**alpha, d**a1, d**a2) if d > 0.0 else (0.0, 0.0, 0.0)
+        return lambda mu: max(mu - w, 0.0) ** alpha, lattice
+    v = rv.v
+    if alpha in (2, 3):
+        s, n = math.sqrt(v), int(alpha)
+        return (lambda mu: _gauss_partial_moment(v, mu - w, n),
+                lambda mu: _gauss_partial_triple(v, s, mu - w, n))
+    gauss = _gauss_power_moment
+    if alpha < 2.0:
+        def pair(mu: float) -> tuple[float, float, float]:
+            e1 = gauss(v, mu - w, a1)
+            return gauss(v, mu - w, alpha), e1, e1
+        return lambda mu: gauss(v, mu - w, alpha), pair
+    return (lambda mu: gauss(v, mu - w, alpha),
+            lambda mu: (gauss(v, mu - w, alpha), gauss(v, mu - w, a1), gauss(v, mu - w, a2)))
+
+
+def _overflow_is_range_error(fn: Callable) -> Callable:
+    """fn, with an OverflowError of a power, gamma or exp beyond the double
+    range raised as RangeError, the package's typed OverflowError."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RangeError:
+            raise
+        except OverflowError as exc:
+            raise RangeError(f"{fn.__name__}: the result overflows a double ({exc})") from exc
+    return checked
+
+
+@_overflow_is_range_error
+def _pos_moment_triple(rv: MixtureRV | TwoPointRV, w: float,
+                       alpha: float) -> tuple[float, float, float]:
+    """(E(X - w)_+^alpha, E(X - w)_+^{alpha-1}, E(X - w)_+^{alpha-2}) for
+    alpha > 1, from one Poisson-count walk for a mixture
+    (:func:`tailbound.special._poisson_log_sums` over :func:`_slices`, the
+    route :func:`pos_moment` takes by default) and the exact sums for a
+    two-point law.  For alpha < 2 the last power is negative, and the third
+    entry is NaN.  Raises RangeError where a moment overflows a double.
+    """
+    low = alpha - 2.0 if alpha >= 2.0 else alpha - 1.0
+    if isinstance(rv, TwoPointRV):
+        out = (_two_point_exact(rv, w, alpha), _two_point_exact(rv, w, alpha - 1.0),
+               _two_point_exact(rv, w, low))
+    else:
+        y, theta = rv.y, rv.theta
+        top, slices = _slices(rv, w, alpha)
+        if theta == 0.0:
+            out = slices(0.0)
+        else:
+            k_min = max(0, math.floor(w / y + theta) + 1) if rv.v == 0.0 else 0
+            out = tuple(math.exp(u) for u in _poisson_log_sums(
+                theta, lambda k: top(y * (k - theta)),
+                lambda k: slices(y * (k - theta)), k_min))
+    if not all(math.isfinite(e) for e in out):
+        raise RangeError(f"E(X - {w})_+^{alpha} overflows a double")
+    return out if alpha >= 2.0 else (out[0], out[1], math.nan)
 
 
 def _geometric_edges(t_lo: float, t_hi: float) -> list[float]:
@@ -479,6 +582,7 @@ def _route(rv: MixtureRV | TwoPointRV, alpha: float,
     return "poisson-local" if rv.v == 0.0 else "series"
 
 
+@_overflow_is_range_error
 def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
                method: PosMomentMethod | None = None) -> float:
     """E(X - w)_+^alpha for a supported law, routed by family and power.

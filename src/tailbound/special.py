@@ -1,7 +1,9 @@
 """Numerically stable scalar kernels: Lambert W, the Bennett function,
 Poisson and Gaussian survival functions, truncated exponential remainders,
-and the package's one bracketing root solver, :func:`_root_in_bracket`
-(Brent's method), which every optimizer in the package goes through.
+the Poisson-count sums, and the package's bracketing root solver,
+:func:`_root_in_bracket` (Brent's method), which every optimizer goes
+through but t_x, whose moments give it a derivative
+(:func:`tailbound.bounds._solve_t_x`).
 
 Every routine here is a pure function of its arguments and is safe to call
 concurrently.  The package's accuracy targets are the private constants
@@ -17,7 +19,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, RangeError
 
 __all__ = [
     "lambert_w0",
@@ -162,29 +164,38 @@ def lambert_w0_log(log_z: float) -> float:
 def bennett_psi(u: float) -> float:
     """The Bennett function psi(u) = (1 + u) ln(1 + u) - u, for u > -1.
 
-    Nonnegative and convex with psi(0) = 0.  For |u| < 1e-4 the alternating
-    series u^2/2 - u^3/6 + u^4/12 - ... is used to avoid the cancellation in
-    the direct expression.
+    Nonnegative and convex with psi(0) = 0.  The direct expression cancels
+    by u / psi(u) ~ 2/u near 0, so for -2/3 <= u <= 2 it is rewritten with
+    r = u/(2+u), ln(1+u) = 2 atanh(r), as psi(u) = u r + 2 (1+u) A with
+    A = atanh(r) - r = sum_{k>=1} r^{2k+1}/(2k+1): every term of A has the
+    sign of r, and |r| <= 1/2.  The terms fall by more than r^2 each, so the
+    sum stops once the next term, over 1 - r^2, is below 2^-55 of A.
     """
     if not math.isfinite(u) or u <= -1.0:
         raise DomainError(f"bennett_psi requires u > -1, got {u}")
-    if abs(u) < 1e-4:
-        # psi(u) = sum_{k>=2} (-1)^k u^k / (k (k-1)); five terms give
-        # relative error below 1e-21 on this range.
-        u2 = u * u
-        return (u2 / 2.0 - u2 * u / 6.0 + u2 * u2 / 12.0
-                - u2 * u2 * u / 20.0 + u2 * u2 * u2 / 30.0)
-    return (1.0 + u) * math.log1p(u) - u
+    if not -2.0 / 3.0 <= u <= 2.0:
+        return (1.0 + u) * math.log1p(u) - u
+    r = u / (2.0 + u)
+    r2 = r * r
+    term, acc, k = r * r2, 0.0, 3.0
+    while term != 0.0:
+        acc += term / k
+        term *= r2
+        k += 2.0
+        if abs(term) / k <= 2.0**-55 * (1.0 - r2) * abs(acc):
+            break
+    return u * r + 2.0 * (1.0 + u) * acc
 
 
 def _poisson_logpmf(k: int, theta: float) -> float:
     return -theta + k * math.log(theta) - math.lgamma(k + 1.0)
 
 
-# Terms one Poisson-count sum may take.  A sum needs about 18 sqrt(theta)
-# terms around its peak, so this covers theta up to about 2e8.
+# Terms one Poisson-count sum may take, half on each side of its peak.  A
+# sum needs about 9 sqrt(theta) terms on a side, so this covers theta up to
+# about 2e8.
 _TERM_BUDGET = 1 << 18
-# Counts the peak search of _poisson_log_sum steps one at a time before it
+# Counts the peak search of _poisson_peak steps one at a time before it
 # doubles.
 _PEAK_SCAN = 4
 _NORMAL_MIN = sys.float_info.min
@@ -197,24 +208,86 @@ def _poisson_log_sum(theta: float, f: Callable[[int], float],
 
     The term ratio theta/(k+1) * f(k+1)/f(k) is then nonincreasing in k, so
     the terms rise to one peak, at or above the Poisson mode, and fall away
-    on both sides.  The peak is the first k from max(k_min, floor(theta))
-    on where that ratio is at most 1.  Most peaks lie within a few counts of
-    the start, so the search steps up one count at a time, carrying f(k+1)
-    forward, for _PEAK_SCAN counts, and then doubles and bisects on the sign
-    of the ratio.  The sum walks up from the peak, then down, carrying each
-    term (in units of the peak term) from the last by the ratio, so only the
-    peak needs an lgamma.  Each side stops once its latest ratio r < 1
-    bounds the rest, at most t r / (1 - r), by 1e-18 of the sum.  Values of
-    f below the smallest normal double count as zero (an absolute error
-    below 1e-307).  Raises NumericalError past _TERM_BUDGET terms.
+    on both sides.  :func:`_poisson_peak` finds the peak and
+    :func:`_poisson_side` sums each side of it with a certified stop, so only
+    the peak term needs an lgamma.  Values of f below the smallest normal
+    double count as zero (an absolute error below 1e-307).  Raises
+    NumericalError past _TERM_BUDGET terms.
     """
-    def at_peak(k: int) -> tuple[float, float] | None:
-        """(f(k), f(k+1)) when the ratio at k is at most 1, else None."""
+    peak, f_peak = _poisson_peak(theta, f, k_min)
+    log_unit = _poisson_logpmf(peak, theta) + math.log(f_peak)
+    total = _poisson_side(theta, f, peak, f_peak, 1, k_min, 1.0, log_unit)
+    total = _poisson_side(theta, f, peak, f_peak, -1, k_min, total, log_unit)
+    return log_unit + math.log(total)
+
+
+def _poisson_log_sums(theta: float, top: Callable[[int], float],
+                      f: Callable[[int], tuple[float, float, float]],
+                      k_min: int = 0) -> tuple[float, float, float]:
+    """The three logs log sum_{k >= k_min} P(Pois(theta) = k) f_i(k) of
+    f(k) = (f_0(k), f_1(k), f_2(k)) in one walk, for f_0 = top.
+
+    Each f_i must suit :func:`_poisson_log_sum`, and the ratios f_1/f_0 and
+    f_2/f_1 must be nonincreasing in k, as they are for positive-part powers
+    f_i(k) = E(Y + c k)_+^{p-i} of one log-concave Y (the p-th mean excess
+    grows with the shift).  Then f_0 peaks furthest right and f_2 furthest
+    left, and the ratio order carries a certified stop from f_0 to the other
+    two above the peak (the rest of each is at most its ratio to f_0 there
+    times the rest of f_0, and its sum so far at least that ratio times f_0's)
+    and from f_2 to the other two below it.  So one walk, whose sides
+    :func:`_poisson_side` drives on f_0 upward and on f_2 downward from
+    f_0's peak, sums all three to the accuracy of separate sums.
+    """
+    peak, _ = _poisson_peak(theta, top, k_min)
+    at_peak = f(peak)
+    if at_peak[2] < _NORMAL_MIN:
+        raise NumericalError(f"Poisson-count sum: the lowest power vanished at count {peak}")
+    log_pmf = _poisson_logpmf(peak, theta)
+    # Sums of P(k)/P(peak) f_i(k).  u is the driving term, carried by its
+    # ratio as _poisson_side carries it, and the others are u f_i / f_drive:
+    # both stay in range where the pmf ratio alone would not.
+    s0, s1, s2 = at_peak
+    for step, drive in ((1, 0), (-1, 2)):
+        u = d_prev = at_peak[drive]
+
+        def driver(k: int) -> float:
+            nonlocal u, d_prev, s0, s1, s2
+            v0, v1, v2 = f(k)
+            d = v0 if step > 0 else v2
+            if d < _NORMAL_MIN:
+                return d
+            u *= (theta / k if step > 0 else (k + 1) / theta) * (d / d_prev)
+            s0 += u * (v0 / d)
+            s1 += u * (v1 / d)
+            s2 += u * (v2 / d)
+            d_prev = d
+            return d
+
+        f_peak = at_peak[drive]
+        _poisson_side(theta, driver, peak, f_peak, step, k_min,
+                      (s0 if step > 0 else s2) / f_peak, log_pmf + math.log(f_peak))
+    if not math.isfinite(s0 + s1 + s2):
+        # The peak search starts where f_0 is a normal double; a first such
+        # count far above theta leaves pmf ratios past the double range.
+        raise NumericalError(f"Poisson-count sums vanished: the walk below count {peak} "
+                             "left the double range")
+    return log_pmf + math.log(s0), log_pmf + math.log(s1), log_pmf + math.log(s2)
+
+
+def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int) -> tuple[int, float]:
+    """(peak, f(peak)) for the sums of :func:`_poisson_log_sum`: the first k
+    from max(k_min, floor(theta)) on where the term ratio
+    theta/(k+1) * f(k+1)/f(k) is at most 1.  Most peaks lie within a few
+    counts of the start, so the search steps up one count at a time,
+    carrying f(k+1) forward, for _PEAK_SCAN counts, and then doubles and
+    bisects on the sign of the ratio.  Raises RangeError where f(peak)
+    overflows a double."""
+    def at_peak(k: int) -> float | None:
+        """f(k) when the ratio at k is at most 1, else None."""
         fk = f(k)
-        if fk < _NORMAL_MIN:
+        if fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk:
             return None
-        f_next = f(k + 1)
-        return None if theta * f_next > (k + 1) * fk else (fk, f_next)
+        return fk
 
     peak = max(k_min, math.floor(theta))
     f_peak, f_next = f(peak), f(peak + 1)
@@ -232,33 +305,49 @@ def _poisson_log_sum(theta: float, f: Callable[[int], float],
                     peak = mid
                 else:
                     hi, found = mid, got
-            peak = hi
-            f_peak, f_next = found
+            peak, f_peak = hi, found
             break
         peak += 1
         scanned += 1
         f_peak, f_next = f_next, f(peak + 1)
-    total, terms = 1.0, 0
-    for step in (1, -1):
-        t, f_prev, k = 1.0, f_peak, peak
-        while step > 0 or k > k_min:
-            r = theta / (k + 1) if step > 0 else k / theta
-            k += step
-            fk = f(k)
-            if fk < _NORMAL_MIN:
-                break
-            r *= fk / f_prev
-            t *= r
-            total += t
-            terms += 1
-            if r < 1.0 and t * r <= 1e-18 * total * (1.0 - r):
-                break
-            if terms > _TERM_BUDGET:
-                raise NumericalError(
-                    f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms",
-                    estimate=math.exp(_poisson_logpmf(peak, theta)) * f_peak * total)
-            f_prev = fk
-    return _poisson_logpmf(peak, theta) + math.log(f_peak) + math.log(total)
+    if f_peak == math.inf:
+        raise RangeError(f"the Poisson-count sum's term at count {peak} overflows a double")
+    return peak, f_peak
+
+
+def _poisson_side(theta: float, f: Callable[[int], float], k: int, f_k: float,
+                  step: int, k_min: int, total: float, log_unit: float) -> float:
+    """``total`` plus the terms of one side of a Poisson-count sum: the counts
+    past k upward (step 1) or down to k_min (step -1), each in units of the
+    term at k, exp(log_unit), and carried from the last by its ratio.
+
+    The ratios fall along the walk, so the walk stops once its latest ratio
+    r < 1 bounds the rest, at most t r / (1 - r), by 1e-18 of the total, or
+    once f falls below the smallest normal double.  Raises NumericalError
+    past _TERM_BUDGET / 2 terms, RangeError if the terms overflowed by then.
+    """
+    t, f_prev, terms = 1.0, f_k, 0
+    while step > 0 or k > k_min:
+        r = theta / (k + 1) if step > 0 else k / theta
+        k += step
+        fk = f(k)
+        if fk < _NORMAL_MIN:
+            break
+        r *= fk / f_prev
+        t *= r
+        total += t
+        if r < 1.0 and t * r <= 1e-18 * total * (1.0 - r):
+            break
+        terms += 1
+        if terms > _TERM_BUDGET // 2:
+            # Terms that overflow to inf never meet the stop test.
+            if not math.isfinite(total):
+                raise RangeError(f"a term of the Poisson-count sum overflows a double at count {k}")
+            raise NumericalError(
+                f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms",
+                estimate=math.exp(log_unit) * total)
+        f_prev = fk
+    return total
 
 
 def poisson_tail(theta: float, u: float) -> float:

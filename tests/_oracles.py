@@ -286,21 +286,57 @@ def mixture_pos_moment_mp(v, y, theta, w, p):
 
 
 def p_alpha_mp(v, y, theta, alpha, x, dps=30):
+    """P_alpha of the mixture G + y (Pois(theta) - theta), G ~ N(0, v), at
+    ``dps`` digits (:func:`p_alpha_law_mp` over
+    :func:`mixture_pos_moment_mp`)."""
+    sd = math.sqrt(v + y * y * theta)
+    return p_alpha_law_mp(lambda t, p: mixture_pos_moment_mp(v, y, theta, t, p),
+                          alpha, x, x - 4 * sd, sd, dps)
+
+
+def p_alpha_law_mp(moment, alpha, x, lo, sd, dps=30):
     """P_alpha = E(eta - t)_+^alpha / (x - t)^alpha at the root t of
-    m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1} = x, solved by the
-    Illinois method at ``dps`` digits on [x - 4 sd, x - 1e-9 sd].  t is
-    stationary for the ratio, so t to 1e-14 already fixes it to ~1e-28."""
+    m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1} = x, for the law
+    whose moment(t, p) = E(eta - t)_+^p, solved by the Illinois method at
+    ``dps`` digits on [lo, x - 1e-9 sd].  t is stationary for the ratio, so
+    t to 1e-14 already fixes it to ~1e-28."""
     with mpmath.workdps(dps):
         x = mpmath.mpf(x)
-        sd = mpmath.sqrt(mpmath.mpf(v) + mpmath.mpf(y) ** 2 * mpmath.mpf(theta))
 
         def excess(t):
-            return (t + mixture_pos_moment_mp(v, y, theta, t, alpha)
-                    / mixture_pos_moment_mp(v, y, theta, t, alpha - 1) - x)
+            return t + moment(t, alpha) / moment(t, alpha - 1) - x
 
-        t = mpmath.findroot(excess, (x - 4 * sd, x - sd / 10**9), solver="illinois",
-                              tol=1e-14, verify=False)
-        return float(mixture_pos_moment_mp(v, y, theta, t, alpha) / (x - t) ** alpha)
+        t = mpmath.findroot(excess, (mpmath.mpf(lo), x - mpmath.mpf(sd) / 10**9),
+                            solver="illinois", tol=1e-14, verify=False)
+        return float(moment(t, alpha) / (x - t) ** alpha)
+
+
+def lattice_pos_moment_mp(y, theta, w, p):
+    """E(y (Pois(theta) - theta) - w)_+^p at the working precision, summed
+    from the first count above w until a term past the peak falls below
+    1e-24 of the total."""
+    y, theta, w, p = (mpmath.mpf(a) for a in (y, theta, w, p))
+    k0 = max(0, int(mpmath.floor(w / y + theta)) + 1)
+    total, prev = mpmath.mpf(0), mpmath.mpf(0)
+    for k in range(k0, k0 + 4000):
+        term = (mpmath.exp(-theta + k * mpmath.log(theta) - mpmath.loggamma(k + 1))
+                * (y * (k - theta) - w) ** p)
+        total += term
+        if term < prev and term < mpmath.mpf(10) ** -24 * total:
+            return total
+        prev = term
+    raise ArithmeticError("lattice moment sum did not settle")
+
+
+def two_point_pos_moment_mp(a, b, w, p):
+    """E(X - w)_+^p for the zero-mean law on {-a, b}, at the working precision."""
+    a, b, w, p = (mpmath.mpf(u) for u in (a, b, w, p))
+    out = mpmath.mpf(0)
+    if b - w > 0:
+        out += a / (a + b) * (b - w) ** p
+    if -a - w > 0:
+        out += b / (a + b) * (-a - w) ** p
+    return out
 
 
 def hp_gap_mp(p, a, dps=30):

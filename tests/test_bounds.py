@@ -286,12 +286,130 @@ def test_be_pin_frozen_values():
 
 
 def test_pin_bracket_without_sign_change_is_numerical_error(monkeypatch):
-    # An m(t) that stays below x leaves no sign change on the t_x bracket,
-    # so Brent's bracket check fails; that is a numerical failure, not bad
-    # input.
-    monkeypatch.setattr(bounds, "m_function", lambda rv, alpha, t: t)
+    # Moments whose m(t) = t + N_3/N_2 stays at t, below x, leave no sign
+    # change on the t_x bracket, so the solve fails at its right end; that
+    # is a numerical failure, not bad input.
+    monkeypatch.setattr(bounds, "_pos_moment_triple", lambda rv, w, alpha: (0.0, 1.0, 1.0))
     with pytest.raises(NumericalError):
         pin(BoundParams(1.0, 0.1, 0.1), 35.0)
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Counts the Poisson-count walks of the series routes: scalar sums and
+    fused (N_a, N_{a-1}, N_{a-2}) walks alike."""
+    from tailbound import posmoments
+    count = [0]
+    for name in ("_poisson_log_sum", "_poisson_log_sums"):
+        def counted(*args, _walk=getattr(posmoments, name)):
+            count[0] += 1
+            return _walk(*args)
+        monkeypatch.setattr(posmoments, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pin(BoundParams(1.0, 1.0, 0.1), 3.0),
+    lambda: be(BoundParams(1.0, 1.0, 0.5), 2.0),
+    lambda: p_alpha(BoundParams(1.0, 1.0, 0.1).mixture(), 2.5, 3.0),
+], ids=["pin", "be", "p_alpha_2.5"])
+def test_t_x_solve_walk_budget(monkeypatch, call):
+    # A work gate that holds on any host: one solve takes at most six
+    # Poisson-count walks (Brent over two walks per m(t) took ~20).
+    walks = _count_walks(monkeypatch)
+    call()
+    assert 0 < walks[0] <= 6
+
+
+def test_lattice_cell_step_lands_on_t_x(monkeypatch):
+    # At alpha = 2 on the Poisson lattice, h(t) = N_2 - (x-t) N_1 is linear
+    # within a lattice cell: from the seed, one step lands on t_x, here the
+    # lattice point y (0 - theta) = -1/8, and the walk there confirms it.
+    walks = _count_walks(monkeypatch)
+    r = be(BoundParams(0.5, 2.0, 0.5), 2.0)
+    assert walks[0] == 2
+    assert r.optimizer == pytest.approx(-0.125, rel=1e-14)
+    # Cantelli, sigma^2 / (sigma^2 + x^2), as everywhere up to y.
+    assert r.value == pytest.approx(1.0 / 17.0, rel=1e-14)
+    assert m_function(BoundParams(0.5, 2.0, 0.5).bentkus(), 2.0, r.optimizer) == \
+        pytest.approx(2.0, rel=1e-14)
+
+
+def test_be_deep_tail_lattice_against_mpmath():
+    # 100 lattice steps above the mean at theta ~ 11: the solve ends in a
+    # cell far in the tail, P_2 ~ 1.2e-69.
+    params = BoundParams(0.8, 0.24, 0.5)
+    rv = params.bentkus()
+    want = oracles.p_alpha_law_mp(
+        lambda t, p: oracles.lattice_pos_moment_mp(rv.y, rv.theta, t, p),
+        2.0, 24.0, 24.0 - 4 * rv.stddev, rv.stddev)
+    assert be(params, 24.0).value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _left_of_t_x(alpha, x, sd):
+    # m(t) ~ (a - 1) sd^2 / (-t) far left, so t_x lies above -a sd^2 / x.
+    return x - 4.0 * sd - 2.0 * alpha * sd * sd / x
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([3.0, 2.5, 1.5]), st.floats(0.05, 0.95), st.floats(0.5, 2.0),
+       st.floats(0.3, 5.0))
+def test_p_alpha_mixture_solve_against_mpmath(alpha, eps, y, x_sd):
+    # The Newton solve (secant slope at 1.5) against a 20-digit Illinois
+    # solve of m(t) = x; and the value is the ratio at the reported t.
+    rv = BoundParams(1.0, y, eps).mixture()
+    x = x_sd * rv.stddev
+    r = p_alpha(rv, alpha, x)
+    want = oracles.p_alpha_law_mp(
+        lambda t, p: oracles.mixture_pos_moment_mp(rv.v, rv.y, rv.theta, t, p),
+        alpha, x, _left_of_t_x(alpha, x, rv.stddev), rv.stddev, dps=20)
+    assert r.value == pytest.approx(want, rel=1e-10, abs=0.0)
+    with mpmath.workdps(20):
+        at_t = oracles.mixture_pos_moment_mp(rv.v, rv.y, rv.theta, r.optimizer, alpha)
+        ratio = float(at_t / (mpmath.mpf(x) - r.optimizer) ** alpha)
+    assert r.value == pytest.approx(min(1.0, ratio), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.1, 3.0), st.floats(0.2, 2.0), st.floats(0.05, 6.0))
+def test_be_lattice_solve_against_mpmath(sigma, y, x_sd):
+    params = BoundParams(sigma, y, 0.5)
+    rv = params.bentkus()
+    x = x_sd * rv.stddev
+    r = be(params, x)
+    moment = lambda t, p: oracles.lattice_pos_moment_mp(rv.y, rv.theta, t, p)
+    want = oracles.p_alpha_law_mp(moment, 2.0, x, _left_of_t_x(2.0, x, rv.stddev), rv.stddev)
+    assert r.value == pytest.approx(want, rel=1e-10, abs=0.0)
+    with mpmath.workdps(30):
+        ratio = float(moment(r.optimizer, 2.0) / (mpmath.mpf(x) - r.optimizer) ** 2)
+    assert r.value == pytest.approx(min(1.0, ratio), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.01, 0.99),
+       st.sampled_from([2.0, 2.5, 3.0, 1.5]))
+def test_p_alpha_two_point_solve_against_mpmath(a, b, x_frac, alpha):
+    tp = TwoPointRV(a, b)
+    x = x_frac * b
+    r = p_alpha(tp, alpha, x)
+    moment = lambda t, p: oracles.two_point_pos_moment_mp(a, b, t, p)
+    want = oracles.p_alpha_law_mp(moment, alpha, x, _left_of_t_x(alpha, x, math.sqrt(a * b)) - a,
+                                  math.sqrt(a * b))
+    assert r.value == pytest.approx(want, rel=1e-10, abs=0.0)
+    with mpmath.workdps(30):
+        ratio = float(moment(r.optimizer, alpha) / (mpmath.mpf(x) - r.optimizer) ** alpha)
+    assert r.value == pytest.approx(min(1.0, ratio), rel=1e-12, abs=0.0)
+
+
+def test_huge_power_is_range_error():
+    # The moments overflow a double there; the error is typed, and still an
+    # OverflowError.
+    mix = BoundParams(1.0, 1.0, 0.1).mixture()
+    with pytest.raises(RangeError):
+        pos_moment(mix, 0.0, 200.5)
+    with pytest.raises(OverflowError):
+        pos_moment(mix, 0.0, 200.5)
+    with pytest.raises(RangeError):
+        p_alpha(mix, 170.0, 2.0)
 
 
 def test_pin_deep_tail_value():

@@ -116,6 +116,16 @@ def test_eval_numerical_failure_exits_one(capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_eval_overflowing_moments_exit_one(capsys):
+    # At sigma = y = 1e110 the third moments behind pin overflow a double:
+    # a RangeError, which exits 1 like every numerical failure.
+    assert run(["eval", "--bound", "pin", "--sigma", "1e110", "--y", "1e110",
+                "--eps", "0.5", "--x", "2e110"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows a double" in captured.err
+
+
 def _subprocess_env() -> dict:
     # A fresh interpreter that imports this checkout's tailbound.
     src = str(pathlib.Path(tailbound.__file__).resolve().parent.parent)

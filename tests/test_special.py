@@ -81,9 +81,19 @@ def test_bennett_psi_exact_points():
 def test_bennett_psi_series_crossover(u):
     with mpmath.workdps(40):
         ref = float((1 + mpmath.mpf(u)) * mpmath.log1p(mpmath.mpf(u)) - u)
-    # Past the crossover the direct form keeps only ~1e-12 relative, so those
-    # two points are held to approx's default absolute 1e-12.
-    assert bennett_psi(u) == pytest.approx(ref, rel=1e-13, abs=0.0 if abs(u) < 1e-4 else 1e-12)
+    # The old 1e-4 switch from the series to the direct form, whose
+    # cancellation cost ~1e-12 just past it.
+    assert bennett_psi(u) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_bennett_psi_against_mpmath():
+    # Through the atanh series (-2/3 <= u <= 2) and the direct form past it,
+    # including both switches: full double precision everywhere.
+    us = [-0.5 + 10.5 * i / 400 for i in range(401)] + [-2.0 / 3.0, 2.0, 2.0000001, 1e-3, -1e-3]
+    with mpmath.workdps(40):
+        for u in us:
+            ref = float((1 + mpmath.mpf(u)) * mpmath.log1p(mpmath.mpf(u)) - u)
+            assert bennett_psi(u) == pytest.approx(ref, rel=1e-15, abs=0.0), u
 
 
 @given(st.floats(min_value=-0.99, max_value=50.0))
