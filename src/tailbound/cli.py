@@ -9,6 +9,7 @@ deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -16,9 +17,6 @@ from . import bounds as bd
 from .distributions import (BoundParams, MixtureRV, TwoPointRV,
                             two_point_palpha_closed)
 from .errors import DomainError, TailboundError
-from .oracle import (TestFunction, enumerate_expectation, extremal_sum_spec,
-                     hp_counterexample_gap, mc_expectation, mc_tail,
-                     mixture_expectation_f, random_sum_spec)
 from .posmoments import PosMomentMethod, pos_moment
 from .special import normal_tail, poisson_tail
 
@@ -67,7 +65,10 @@ def run(argv: list[str]) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first :func:`run` and
+    kept: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="tailbound",
         description="Sharp tail bounds for sums of bounded random variables.")
@@ -212,6 +213,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
+    # The oracles, and numpy with them, load only for the commands that use them.
+    from .oracle import extremal_sum_spec, mc_tail
     params = _require(args, ("sigma", "y", "eps"), "extremal")
     spec = extremal_sum_spec(params, args.m)
     est = mc_tail(spec, args.x, args.samples, args.seed)
@@ -248,6 +251,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _comparison_holds(funcs, cases) -> bool:
     """E f(S) <= E f(eta) for every f in ``funcs`` on the random sum
     random_sum_spec(n, seed) of each (n, seed) in ``cases``."""
+    from .oracle import enumerate_expectation, mixture_expectation_f, random_sum_spec
     for n, seed in cases:
         spec = random_sum_spec(n, seed)
         params = spec.aggregate_params()
@@ -260,6 +264,7 @@ def _comparison_holds(funcs, cases) -> bool:
 
 
 def _quick_checks(seed: int):
+    from .oracle import TestFunction, mc_tail, random_sum_spec
     p = BoundParams(1.0, 1.0, 0.5)
     mix = BoundParams(1.0, 1.0, 0.1).mixture()
 
@@ -335,6 +340,8 @@ def _quick_checks(seed: int):
 
 
 def _full_checks(seed: int):
+    from .oracle import (TestFunction, extremal_sum_spec, hp_counterexample_gap,
+                         mc_expectation, mc_tail, mixture_expectation_f)
     def tightness() -> bool:
         params = BoundParams(1.0, 1.0, 0.1)
         f = TestFunction.power_part(1.0, 3.0)

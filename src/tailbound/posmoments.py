@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._quadrature import adaptive_quad
 from .distributions import MixtureRV, TwoPointRV, mixture_mgf
 from .errors import DomainError, NumericalError, RangeError
 from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sum, _poisson_log_sums
@@ -36,6 +35,16 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _EPS = 2.0**-53
+
+
+def __getattr__(name: str):
+    # Only the forced audit routes integrate, so the quadrature loads on their
+    # first use; posmoments.adaptive_quad stays the name they call it by.
+    if name == "adaptive_quad":
+        from ._quadrature import adaptive_quad
+        globals()[name] = adaptive_quad
+        return adaptive_quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SlowDecayWarning(UserWarning):
@@ -142,21 +151,25 @@ def _mills_moment(z: float, n: int) -> float:
     return _mills_moments(z, n)[0]
 
 
-def _mills_moments(z: float, n: int, count: int = 1) -> list[float]:
-    """[J_n(z), J_{n-1}(z), ..., J_{n-count+1}(z)] for count <= n + 1, with
-    J_m as in :func:`_mills_moment`, from one run of the continued fraction
-    J_m/J_{m-1} = m/(z + J_{m+1}/J_m) (by parts; z J_0 + J_1 = 1) backward
-    from depth 10 + 800/z^2.  That agrees with 50-digit mpmath within 5e-13
-    for 5 <= z < 38."""
-    rho, js = 0.0, [1.0] * count
-    for m in range(10 + int(800.0 / (z * z)), n, -1):
+def _mills_moments(z: float, n: int, count: int = 1) -> tuple[float, ...]:
+    """(J_n(z), J_{n-1}(z), ..., J_{n-count+1}(z)) for n <= 3 and count <=
+    n + 1, with J_m as in :func:`_mills_moment`, from one run of the
+    continued fraction r_m = J_m/J_{m-1} = m/(z + r_{m+1}) (by parts;
+    z J_0 + J_1 = 1) backward from depth 10 + 800/z^2.  That agrees with
+    50-digit mpmath within 5e-13 for 5 <= z < 38.  The ratios do not depend
+    on n, so the loop stops above order 3 and the last three steps are
+    written out: J_0 = 1/(z + r_1) and J_m = r_m ... r_1 J_0, each product
+    taken from r_m down, the generic loop's operations in its order."""
+    if not 0 <= n <= 3:
+        raise DomainError(f"_mills_moments takes orders 0 to 3, got {n}")
+    rho = 0.0
+    for m in range(10 + int(800.0 / (z * z)), 3, -1):
         rho = m / (z + rho)
-    for m in range(n, 0, -1):
-        rho = m / (z + rho)
-        # J_{n-i} is J_0 times the ratios of the orders m <= n - i.
-        for i in range(min(count, n - m + 1)):
-            js[i] *= rho
-    return [j / (z + rho) for j in js]
+    r3 = 3 / (z + rho)
+    r2 = 2 / (z + r3)
+    r1 = 1 / (z + r2)
+    d = z + r1
+    return (r3 * r2 * r1 / d, r2 * r1 / d, r1 / d, 1.0 / d)[3 - n:3 - n + count]
 
 
 def _mills_power(z: float, p: float) -> float:
@@ -333,9 +346,7 @@ def _pos_moment_triple(rv: MixtureRV | TwoPointRV, w: float,
             out = slices(0.0)
         else:
             k_min = max(0, math.floor(w / y + theta) + 1) if rv.v == 0.0 else 0
-            out = tuple(math.exp(u) for u in _poisson_log_sums(
-                theta, lambda k: top(y * (k - theta)),
-                lambda k: slices(y * (k - theta)), k_min))
+            out = tuple(math.exp(u) for u in _poisson_log_sums(theta, y, top, slices, k_min))
     if not all(math.isfinite(e) for e in out):
         raise RangeError(f"E(X - {w})_+^{alpha} overflows a double")
     return out if alpha >= 2.0 else (out[0], out[1], math.nan)
@@ -355,11 +366,11 @@ def _geometric_edges(t_lo: float, t_hi: float) -> list[float]:
 
 def _integrate_panels(f: Callable[[float], float], edges: Sequence[float],
                       rel: float, abs_total: float) -> tuple[float, float]:
+    quad = globals().get("adaptive_quad") or __getattr__("adaptive_quad")
     n = len(edges) - 1
     total, err = 0.0, 0.0
     for i in range(n):
-        v, e = adaptive_quad(f, edges[i], edges[i + 1], rel=rel,
-                             abs_tol=abs_total / n)
+        v, e = quad(f, edges[i], edges[i + 1], rel=rel, abs_tol=abs_total / n)
         total += v
         err += e
     return total, err

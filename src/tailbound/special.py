@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import DomainError, NumericalError, RangeError
+from .errors import DomainError, NumericalError, RangeError, TailboundError
 
 __all__ = [
     "lambert_w0",
@@ -199,6 +199,7 @@ _TERM_BUDGET = 1 << 18
 # doubles.
 _PEAK_SCAN = 4
 _NORMAL_MIN = sys.float_info.min
+_OVERFLOW = "a term of the Poisson-count sum overflows a double at count {}"
 
 
 def _poisson_log_sum(theta: float, f: Callable[[int], float],
@@ -221,11 +222,12 @@ def _poisson_log_sum(theta: float, f: Callable[[int], float],
     return log_unit + math.log(total)
 
 
-def _poisson_log_sums(theta: float, top: Callable[[int], float],
-                      f: Callable[[int], tuple[float, float, float]],
+def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
+                      slices: Callable[[float], tuple[float, float, float]],
                       k_min: int = 0) -> tuple[float, float, float]:
     """The three logs log sum_{k >= k_min} P(Pois(theta) = k) f_i(k) of
-    f(k) = (f_0(k), f_1(k), f_2(k)) in one walk, for f_0 = top.
+    (f_0, f_1, f_2)(k) = slices(y (k - theta)) in one walk, for f_0(k) =
+    top(y (k - theta)).
 
     Each f_i must suit :func:`_poisson_log_sum`, and the ratios f_1/f_0 and
     f_2/f_1 must be nonincreasing in k, as they are for positive-part powers
@@ -234,38 +236,70 @@ def _poisson_log_sums(theta: float, top: Callable[[int], float],
     left, and the ratio order carries a certified stop from f_0 to the other
     two above the peak (the rest of each is at most its ratio to f_0 there
     times the rest of f_0, and its sum so far at least that ratio times f_0's)
-    and from f_2 to the other two below it.  So one walk, whose sides
-    :func:`_poisson_side` drives on f_0 upward and on f_2 downward from
-    f_0's peak, sums all three to the accuracy of separate sums.
+    and from f_2 to the other two below it.  So one walk from f_0's peak
+    (:func:`_poisson_peak`), driven on f_0 upward and on f_2 downward, sums
+    all three to the accuracy of separate sums.  Each side is one loop with
+    one ``slices`` call a count, and stops or runs out of terms exactly where
+    :func:`_poisson_side` would on the driving power.  Raises RangeError at
+    the first term that is not a finite double.
     """
-    peak, _ = _poisson_peak(theta, top, k_min)
-    at_peak = f(peak)
-    if at_peak[2] < _NORMAL_MIN:
+    peak, _ = _poisson_peak(theta, lambda k: top(y * (k - theta)), k_min)
+    s0, s1, s2 = at_peak = slices(y * (peak - theta))
+    if not math.isfinite(s0 + s1 + s2):
+        raise RangeError(_OVERFLOW.format(peak))
+    if s2 < _NORMAL_MIN:
         raise NumericalError(f"Poisson-count sum: the lowest power vanished at count {peak}")
     log_pmf = _poisson_logpmf(peak, theta)
     # Sums of P(k)/P(peak) f_i(k).  u is the driving term, carried by its
-    # ratio as _poisson_side carries it, and the others are u f_i / f_drive:
-    # both stay in range where the pmf ratio alone would not.
-    s0, s1, s2 = at_peak
-    for step, drive in ((1, 0), (-1, 2)):
-        u = d_prev = at_peak[drive]
-
-        def driver(k: int) -> float:
-            nonlocal u, d_prev, s0, s1, s2
-            v0, v1, v2 = f(k)
-            d = v0 if step > 0 else v2
-            if d < _NORMAL_MIN:
-                return d
-            u *= (theta / k if step > 0 else (k + 1) / theta) * (d / d_prev)
-            s0 += u * (v0 / d)
-            s1 += u * (v1 / d)
-            s2 += u * (v2 / d)
-            d_prev = d
-            return d
-
-        f_peak = at_peak[drive]
-        _poisson_side(theta, driver, peak, f_peak, step, k_min,
-                      (s0 if step > 0 else s2) / f_peak, log_pmf + math.log(f_peak))
+    # ratio r, and the others are u f_i / f_drive: both stay in range where
+    # the pmf ratio alone would not.  t and total, the driving terms and
+    # their sum in units of the peak's, are _poisson_side's, for its stop.
+    k, t, total = peak, 1.0, 1.0
+    u = d = s0
+    while True:
+        r = theta / (k + 1)
+        k += 1
+        v0, v1, v2 = slices(y * (k - theta))
+        if v0 < _NORMAL_MIN:
+            break
+        r *= v0 / d
+        u *= r
+        s0 += u
+        s1 += u * (v1 / v0)
+        s2 += u * (v2 / v0)
+        t *= r
+        total += t
+        if r < 1.0:
+            if t * r <= 1e-18 * total * (1.0 - r):
+                break
+        elif not r < math.inf:
+            raise RangeError(_OVERFLOW.format(k))
+        if k - peak > _TERM_BUDGET // 2:
+            raise _unterminated(total, k, log_pmf + math.log(at_peak[0]))
+        d = v0
+    k, t, total = peak, 1.0, s2 / at_peak[2]
+    u = d = at_peak[2]
+    while k > k_min:
+        r = k / theta
+        k -= 1
+        v0, v1, v2 = slices(y * (k - theta))
+        if v2 < _NORMAL_MIN:
+            break
+        r *= v2 / d
+        u *= r
+        s0 += u * (v0 / v2)
+        s1 += u * (v1 / v2)
+        s2 += u
+        t *= r
+        total += t
+        if r < 1.0:
+            if t * r <= 1e-18 * total * (1.0 - r):
+                break
+        elif not r < math.inf:
+            raise RangeError(_OVERFLOW.format(k))
+        if peak - k > _TERM_BUDGET // 2:
+            raise _unterminated(total, k, log_pmf + math.log(at_peak[2]))
+        d = v2
     if not math.isfinite(s0 + s1 + s2):
         # The peak search starts where f_0 is a normal double; a first such
         # count far above theta leaves pmf ratios past the double range.
@@ -340,14 +374,19 @@ def _poisson_side(theta: float, f: Callable[[int], float], k: int, f_k: float,
             break
         terms += 1
         if terms > _TERM_BUDGET // 2:
-            # Terms that overflow to inf never meet the stop test.
-            if not math.isfinite(total):
-                raise RangeError(f"a term of the Poisson-count sum overflows a double at count {k}")
-            raise NumericalError(
-                f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms",
-                estimate=math.exp(log_unit) * total)
+            raise _unterminated(total, k, log_unit)
         f_prev = fk
     return total
+
+
+def _unterminated(total: float, k: int, log_unit: float) -> TailboundError:
+    """The error of a Poisson-count walk that ran out of terms at count k,
+    its sum so far ``total`` in units of exp(log_unit)."""
+    # Terms that overflow to inf never meet the stop test.
+    if not math.isfinite(total):
+        return RangeError(_OVERFLOW.format(k))
+    return NumericalError(f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms",
+                          estimate=math.exp(log_unit) * total)
 
 
 def poisson_tail(theta: float, u: float) -> float:

@@ -346,3 +346,19 @@ def hp_gap_mp(p, a, dps=30):
         p, a = mpmath.mpf(p), mpmath.mpf(a)
         e_mix = mixture_pos_moment_mp(a * a / (1 + a), 1, a / (1 + a), -a, p)
         return float(e_mix - a * (1 + a) ** (p - 1))
+
+
+def mills_moments_loop(z, n, count=1):
+    """[J_n(z), ..., J_{n-count+1}(z)], J_m(z) = Int_0^inf u^m e^{-zu-u^2/2} du,
+    by the continued fraction J_m/J_{m-1} = m/(z + J_{m+1}/J_m) run backward
+    from depth 10 + 800/z^2 in one generic loop, for any n and count <= n + 1:
+    the form the library's unrolled kernel must reproduce bit for bit."""
+    rho, js = 0.0, [1.0] * count
+    for m in range(10 + int(800.0 / (z * z)), n, -1):
+        rho = m / (z + rho)
+    for m in range(n, 0, -1):
+        rho = m / (z + rho)
+        # J_{n-i} is J_0 times the ratios of the orders m <= n - i.
+        for i in range(min(count, n - m + 1)):
+            js[i] *= rho
+    return [j / (z + rho) for j in js]

@@ -666,3 +666,20 @@ def test_bounds_monotone_in_x():
               lambda x: pin(P_SMALL, x).value):
         vals = [f(0.4 * i) for i in range(1, 12)]
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+def test_overflowing_terms_fail_fast(monkeypatch):
+    # At sigma = y = 1e110 the top slice is NaN (its closed form overflows)
+    # at the walk's first count: a RangeError there, counted in slice calls
+    # so that it holds on any host, not after half a term budget of NaNs.
+    from tailbound import posmoments
+    calls = [0]
+
+    def counted(*args, _triple=posmoments._gauss_partial_triple):
+        calls[0] += 1
+        return _triple(*args)
+
+    monkeypatch.setattr(posmoments, "_gauss_partial_triple", counted)
+    with pytest.raises(RangeError, match="overflows a double"):
+        pin(BoundParams(1e110, 1e110, 0.5), 2e110)
+    assert 0 < calls[0] < 100

@@ -322,3 +322,54 @@ def test_validate_full_suite(capsys):
     _, rows = _csv(capsys)
     assert len(rows) == 14
     assert all(r[1] == "pass" for r in rows)
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # run builds its parser on the first call and keeps it: a run after a
+    # usage error, and after other commands, prints what a fresh
+    # interpreter prints.
+    from tailbound import cli
+    budgets = ["--sigma", "1", "--y", "1", "--eps", "0.1"]
+    argvs = [["eval", "--bound", "pin", *budgets, "--x", "3"],
+             ["eval", "--bound", "pin", *budgets, "--x"],
+             ["compare", *budgets, "--x-max", "4", "--points", "5"],
+             ["eval", "--bound", "pin", *budgets, "--x", "3"]]
+    got = []
+    for argv in argvs:
+        code = run(argv)
+        got.append((code, capsys.readouterr().out))
+    assert [code for code, _ in got] == [0, 2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    for argv, want in zip(argvs, got):
+        proc = subprocess.run([sys.executable, "-m", "tailbound.cli", *argv],
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == want
+
+
+def test_bound_commands_run_with_numpy_blocked():
+    # numpy serves only the oracles (extremal, validate): eval, sweep and
+    # compare run in an interpreter where importing it fails.
+    budgets = ["--sigma", "1", "--y", "1", "--eps", "0.1"]
+    commands = [["eval", "--bound", b, *budgets, "--x", "3"] for b in ("pin", "be", "lc3")]
+    commands += [["sweep", "--bound", "pin", *budgets, "--x-min", "1", "--x-max", "4",
+                  "--points", "4", "--parametric"],
+                 ["compare", *budgets, "--x-max", "4", "--points", "5"]]
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from tailbound.cli import run\n"
+            f"codes = [run(argv) for argv in {commands!r}]\n"
+            "print(codes, file=sys.stderr); sys.exit(any(codes))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_bounds_leaves_numpy_out():
+    # The oracle names of the package load on first use, numpy with them.
+    code = ("import sys, tailbound.bounds, tailbound.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "from tailbound import mc_tail\n"
+            "assert 'numpy' in sys.modules and mc_tail.__module__ == 'tailbound.oracle'")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -29,6 +29,8 @@ from tailbound.bounds import p_alpha
 from tailbound.oracle import hp_counterexample_gap
 from tailbound.posmoments import (_gauss_partial_moment, _gauss_power_moment, _mills_moment,
                                   _mills_power)
+from tailbound.posmoments import _mills_moments, _pos_moment_triple
+from tailbound import mixture_tail, poisson_tail
 
 MIX = MixtureRV(0.9, 1.0, 0.1)
 
@@ -375,3 +377,53 @@ def test_routes_agree_property(w, alpha):
     ser = pos_moment(MIX, w, float(alpha), PosMomentMethod.series())
     lap = pos_moment(MIX, w, float(alpha), PosMomentMethod.laplace())
     assert lap == pytest.approx(ser, rel=1e-6, abs=1e-12)
+
+
+def test_mills_moments_match_the_generic_loop_bit_for_bit():
+    # The unrolled last steps are the generic loop's floating-point steps in
+    # its order, so every order and count gives the loop's bits.
+    for i in range(141):
+        z = 5.0 + 0.25 * i
+        for n in range(4):
+            for count in range(1, n + 2):
+                assert list(_mills_moments(z, n, count)) == oracles.mills_moments_loop(z, n, count)
+
+
+@given(st.floats(min_value=2.0, max_value=60.0), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=4))
+def test_mills_moments_bits_anywhere(z, n, count):
+    count = min(count, n + 1)
+    assert list(_mills_moments(z, n, count)) == oracles.mills_moments_loop(z, n, count)
+
+
+def test_mills_moments_rejects_orders_past_three():
+    with pytest.raises(DomainError):
+        _mills_moments(9.0, 4)
+
+
+def _walk_tol(theta, value):
+    # Each sum is exp(log pmf at its walk's peak + log of the rest), and the
+    # scalar walks peak at other counts than the fused one: the logs round to
+    # about theta (1 + |ln theta|) + |ln value| units of 2^-52 apart.
+    return 16 * 2.0**-52 * (theta * (1.0 + abs(math.log(theta))) + abs(math.log(value)) + 10.0)
+
+
+@given(st.sampled_from([("mixture", 2.0), ("mixture", 3.0), ("mixture", 2.5), ("lattice", 2.0)]),
+       st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=-1.5, max_value=0.5),
+       st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=-2.0, max_value=10.0))
+def test_pos_moment_triple_matches_the_scalar_sums(law, sigma, log10_y, eps, shift):
+    # The fused walk's three sums are the separate walks' sums: pos_moment of
+    # each positive power, and for the power 0 the tail P(X > w).
+    kind, alpha = law
+    params = BoundParams(sigma, 10.0**log10_y, eps)
+    rv = params.mixture() if kind == "mixture" else params.bentkus()
+    w = shift * sigma
+    got = _pos_moment_triple(rv, w, alpha)
+    for power, value in zip((alpha, alpha - 1.0, alpha - 2.0), got):
+        if power > 0.0:
+            want = pos_moment(rv, w, power)
+        elif kind == "mixture":
+            want = mixture_tail(rv, w)
+        else:
+            want = poisson_tail(rv.theta, math.floor(w / rv.y + rv.theta) + 1)
+        assert value == pytest.approx(want, rel=_walk_tol(rv.theta, want), abs=0.0)

@@ -22,6 +22,8 @@ from tailbound import (
 )
 from tailbound.posmoments import _gauss_partial_moment
 from tailbound.special import _poisson_log_sum, _root_in_bracket
+from tailbound import RangeError
+from tailbound.special import _poisson_log_sums
 
 
 def test_lambert_omega_constant():
@@ -358,3 +360,19 @@ def test_root_in_bracket_nan_is_numerical_error(nan_at):
     with pytest.raises(NumericalError, match="NaN"):
         _root_in_bracket(lambda x: math.nan if nan_at(x) else x - 0.3,
                          -1.0, 2.0, rtol=1e-12)
+
+
+def test_fused_walk_fails_fast_on_a_term_past_the_double_range():
+    # Slices that grow by 2 a count from 8e307 at theta = 1: the peak is
+    # count 1, count 2 is still finite, count 3 overflows.  The walk raises
+    # there, within a few slice calls, not after half a term budget of
+    # non-finite terms.
+    calls = []
+
+    def slices(mu):
+        calls.append(mu)
+        return 8e307 * 2.0**mu, 2.0**mu, 1.0
+
+    with pytest.raises(RangeError, match="at count 3"):
+        _poisson_log_sums(1.0, 1.0, lambda mu: 8e307 * 2.0**mu, slices)
+    assert len(calls) < 100
