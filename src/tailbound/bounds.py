@@ -14,14 +14,15 @@ classical Bennett-Hoeffding bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
-from .posmoments import (_SQRT_2PI, PosMomentMethod, _gauss_partial_moment, _mills_moment,
+from .posmoments import (_SQRT_2PI, PosMomentMethod, _gauss_partial_triple, _mills_moments,
                          _pos_moment_triple, _route, pos_moment)
 from .special import (_ABS_TOL, _MAX_ITER, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
                       bennett_psi, exp_remainder, lambert_w0_log, poisson_log_tail)
@@ -102,14 +103,38 @@ class EffectiveEpsilon(NamedTuple):
     degenerate: bool
 
 
+def _scale_free(power: int, nonneg_x: bool = True) -> Callable[[Callable], Callable]:
+    """Runs a bound(params, x, ...) at sigma = 1, on BoundParams(1, y/sigma,
+    eps) and x/sigma, after checking x (x >= 0, or finite x only where
+    ``nonneg_x`` is false).  The bounds are scale-equivariant, and at sigma
+    = 1 no power of sigma leaves the double range.  A TailBoundResult's
+    optimizer comes back times sigma**power (t_x: 1, lambda_x: -1).  At
+    sigma = 1 no bit changes: dividing by 1.0 is exact."""
+    def wrap(bound: Callable) -> Callable:
+        @functools.wraps(bound)
+        def at_unit_sigma(params: BoundParams, x: float, *args, **kwargs):
+            (_check_nonneg_x if nonneg_x else _check_finite_x)(x)
+            s = params.sigma
+            r, xi = params.y / s, x / s
+            if not (0.0 < r < math.inf and math.isfinite(xi)):
+                raise RangeError(f"y / sigma = {r} or x / sigma = {xi} leaves the double range")
+            out = bound(BoundParams(1.0, r, params.eps), xi, *args, **kwargs)
+            if isinstance(out, TailBoundResult):  # a fresh result, as __post_init__ sets it
+                opt = out.optimizer * s if power > 0 else out.optimizer / s
+                object.__setattr__(out, "optimizer", opt)
+            return out
+        return at_unit_sigma
+    return wrap
+
+
 def bh(sigma: float, y: float, x: float) -> TailBoundResult:
     """Bennett-Hoeffding bound exp(-(sigma^2/y^2) psi(x y / sigma^2))."""
     _check_pos("sigma", sigma)
     _check_pos("y", y)
     _check_nonneg_x(x)
-    r = x * y / (sigma * sigma)
-    value = math.exp(-(sigma / y) ** 2 * bennett_psi(r))
-    lam = math.log1p(r) / y
+    r, u = y / sigma, x / sigma * (y / sigma)
+    value = math.exp(-(1.0 / r) ** 2 * bennett_psi(u))
+    lam = math.log1p(u) / r / sigma
     return TailBoundResult(value, lam, "closed-form")
 
 
@@ -146,6 +171,7 @@ def _pu_exponent(params: BoundParams, lam: float, x: float) -> float:
             + eps * s2 / (y * y) * exp_remainder(1, u))
 
 
+@_scale_free(-1)
 def pu(params: BoundParams, x: float) -> TailBoundResult:
     """inf_lam e^{-lam x} pu_exp(lam) in closed form.
 
@@ -158,7 +184,6 @@ def pu(params: BoundParams, x: float) -> TailBoundResult:
     exponent to a quadratic in w_x + 1.  Evaluating W via its log argument
     keeps this finite for arbitrarily large x.
     """
-    _check_nonneg_x(x)
     s2, y, eps = params.sigma**2, params.y, params.eps
     delta = 1.0 - eps  # exact: eps in (0.5, 1) keeps the subtraction lossless
     q = x * y / s2
@@ -178,6 +203,7 @@ def pu(params: BoundParams, x: float) -> TailBoundResult:
     return TailBoundResult(value, lam, "closed-form")
 
 
+@_scale_free(-1)
 def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
     """inf_lam e^{-lam x} pu_exp(lam) by direct root-finding on the
     derivative; the independent check of :func:`pu`.
@@ -185,7 +211,6 @@ def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
     The derivative -x + lam (1-eps) sigma^2 + eps sigma^2 (e^{lam y}-1)/y
     is strictly increasing, so a sign-changing bracket pins the optimizer.
     """
-    _check_nonneg_x(x)
     if x == 0.0:
         return TailBoundResult(1.0, 0.0, "root-solve")
     s2, y, eps = params.sigma**2, params.y, params.eps
@@ -363,18 +388,18 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
                            err_estimate=abs(value - alt))
 
 
+@_scale_free(1)
 def be(params: BoundParams, x: float,
        method: PosMomentMethod | None = None) -> TailBoundResult:
     """Bentkus bound: P_2 of the scaled centered Poisson with the full
     variance budget, y tilde-Pi_{sigma^2/y^2}."""
-    _check_nonneg_x(x)
     return p_alpha(params.bentkus(), 2.0, x, method=method)
 
 
+@_scale_free(1)
 def pin(params: BoundParams, x: float,
         method: PosMomentMethod | None = None) -> TailBoundResult:
     """The class-F3 bound: P_3 of the Gaussian-plus-Poisson mixture."""
-    _check_nonneg_x(x)
     return p_alpha(params.mixture(), 3.0, x, method=method)
 
 
@@ -384,7 +409,8 @@ def ca(sigma: float, x: float) -> float:
     _check_finite_x(x)
     if x <= 0.0:
         return 1.0
-    return sigma * sigma / (sigma * sigma + x * x)
+    xi = x / sigma
+    return 1.0 / (1.0 + xi * xi)
 
 
 def en(sigma: float, x: float) -> float:
@@ -394,7 +420,8 @@ def en(sigma: float, x: float) -> float:
     _check_finite_x(x)
     if x <= 0.0:
         return 1.0
-    return math.exp(-x * x / (2.0 * sigma * sigma))
+    xi = x / sigma
+    return math.exp(-xi * xi / 2.0)
 
 
 def c_const(alpha: float, beta: float) -> float:
@@ -437,7 +464,7 @@ def plc_poisson_tail(theta: float, u: float) -> float:
 def _log_normal_tail(z: float) -> float:
     """log P(Z >= z); past 37, where erfc underflows, phi(z) J_0(z)."""
     return (math.log(0.5 * math.erfc(z / _SQRT2)) if z < 37.0
-            else math.log(_mills_moment(z, 0) / _SQRT_2PI) - 0.5 * z * z)
+            else math.log(_mills_moments(z, 0)[0] / _SQRT_2PI) - 0.5 * z * z)
 
 
 def _log_normal_mass(a: float, b: float) -> float:
@@ -450,6 +477,7 @@ def _log_normal_mass(a: float, b: float) -> float:
     return math.log(0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2)))
 
 
+@_scale_free(0, nonneg_x=False)
 def plc_mixture_upper(params: BoundParams, x: float) -> float:
     """int plc(y tilde-Pi >= z) P(x - Gamma in dz), exactly, by lattice cells.
 
@@ -462,9 +490,9 @@ def plc_mixture_upper(params: BoundParams, x: float) -> float:
     < 1e-18 of the sum, and theta + t, where Bernstein's P(Pois >= theta + t)
     <= exp(-t^2 / (2 (theta + t/3))) is e^-42 P(u <= 0).  One poisson_log_tail
     seeds L, and P(>= j) = P(>= j+1) + P(= j) carries it down.  The cells
-    are log-concave in j (Prekopa): the walk stops as _poisson_log_sum does.
+    are log-concave in j (Prekopa): the walk stops as the Poisson-count walk
+    (:func:`tailbound.special._poisson_log_sums`) does.
     """
-    _check_finite_x(x)
     rv = params.mixture()
     theta, s, m = rv.theta, math.sqrt(rv.v) / rv.y, x / rv.y + rv.theta
     _check_pos("theta", theta)
@@ -539,9 +567,9 @@ def ea(x: float) -> float:
     t -> 0 limit 4 phi(0) / x^3; otherwise Brent's method solves m(t) = x on
     [0, x (1 - 1e-12)].  Past t = 2, where the closed-form moments start to
     cancel, E(Z-t)_+^n = phi(t) J_n(t) from
-    :func:`tailbound.posmoments._mills_moment`, and phi(t) cancels from m.
-    From x = 40 on the value at t = x - 1, below 12 phi(39) / 39^4,
-    underflows, so the bound is 0.
+    :func:`tailbound.posmoments._mills_moments`, and phi(t) cancels from m.
+    Each m(t) reads E_3 and E_2 off one call.  From x = 40 on the value at
+    t = x - 1, below 12 phi(39) / 39^4, underflows, so the bound is 0.
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be finite and positive, got {x}")
@@ -551,14 +579,12 @@ def ea(x: float) -> float:
         return 0.0
 
     def m_minus_x(t: float) -> float:
-        if t > 2.0:
-            return t + _mills_moment(t, 3) / _mills_moment(t, 2) - x
-        return (t + _gauss_partial_moment(1.0, -t, 3)
-                / _gauss_partial_moment(1.0, -t, 2) - x)
+        e3, e2 = _mills_moments(t, 3, 2) if t > 2.0 else _gauss_partial_triple(1.0, 1.0, -t, 3)[:2]
+        return t + e3 / e2 - x
 
     t = _root_in_bracket(m_minus_x, 0.0, x * (1.0 - 1e-12), rtol=1e-12)
-    e3 = (math.exp(-0.5 * t * t) / _SQRT_2PI * _mills_moment(t, 3) if t > 2.0
-          else _gauss_partial_moment(1.0, -t, 3))
+    e3 = (math.exp(-0.5 * t * t) / _SQRT_2PI * _mills_moments(t, 3)[0] if t > 2.0
+          else _gauss_partial_triple(1.0, 1.0, -t, 3)[0])
     return min(1.0, 2.0 * e3 / (x - t) ** 3)
 
 

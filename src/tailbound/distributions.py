@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .special import _poisson_log_sum, exp_remainder, normal_tail, poisson_tail
+from .special import _poisson_log_sums, exp_remainder, normal_tail, poisson_tail
 
 __all__ = [
     "BoundParams",
@@ -56,15 +56,23 @@ class BoundParams:
 
     def mixture(self) -> MixtureRV:
         """The comparison law these budgets induce: Gaussian variance
-        (1 - eps) sigma^2 plus jump size y at Poisson rate eps sigma^2 / y^2."""
+        (1 - eps) sigma^2 plus jump size y at Poisson rate eps sigma^2 / y^2.
+        Raises RangeError where v or theta leaves the double range."""
         s2 = self.sigma * self.sigma
-        return MixtureRV(v=(1.0 - self.eps) * s2, y=self.y,
-                         theta=self.eps * s2 / (self.y * self.y))
+        try:
+            return MixtureRV(v=(1.0 - self.eps) * s2, y=self.y,
+                             theta=self.eps * s2 / (self.y * self.y))
+        except (DomainError, ZeroDivisionError) as exc:
+            raise RangeError(f"the mixture of {self} leaves the double range") from exc
 
     def bentkus(self) -> MixtureRV:
         """The Bentkus comparison law: the scaled centered Poisson carrying
-        the full variance budget, y (Pois(sigma^2/y^2) - sigma^2/y^2)."""
-        return MixtureRV(v=0.0, y=self.y, theta=self.sigma**2 / self.y**2)
+        the full variance budget, y (Pois(sigma^2/y^2) - sigma^2/y^2).
+        Raises RangeError where theta leaves the double range."""
+        try:
+            return MixtureRV(v=0.0, y=self.y, theta=self.sigma**2 / self.y**2)
+        except (DomainError, OverflowError, ZeroDivisionError) as exc:
+            raise RangeError(f"the Bentkus law of {self} leaves the double range") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,9 +162,10 @@ def mixture_tail(rv: MixtureRV, x: float) -> float:
     """P(eta >= x), conditioning on the Poisson count.
 
     Each count k contributes pmf(k) * P(N(0, v) >= x - y (k - theta)), a
-    log-concave function of k, summed with a certified stop by
-    :func:`tailbound.special._poisson_log_sum`.  With v = 0 the tail is a
-    pure Poisson survival probability and is delegated accordingly.
+    log-concave function of k, summed with a certified stop by the
+    Poisson-count walk :func:`tailbound.special._poisson_log_sums`, as its
+    one-power case.  With v = 0 the tail is a pure Poisson survival
+    probability and is delegated accordingly.
     """
     if not math.isfinite(x):
         raise DomainError(f"mixture_tail requires finite x, got {x}")
@@ -165,9 +174,12 @@ def mixture_tail(rv: MixtureRV, x: float) -> float:
         return poisson_tail(rv.theta, rv.theta + x / rv.y)
     if rv.theta == 0.0:
         return normal_tail(rv.v, x)
-    v, y, theta = rv.v, rv.y, rv.theta
-    return min(1.0, math.exp(_poisson_log_sum(
-        theta, lambda k: normal_tail(v, x - y * (k - theta)))))
+    c = math.sqrt(2.0 * rv.v)
+
+    def tail(mu: float) -> float:
+        return 0.5 * math.erfc((x - mu) / c)  # normal_tail(v, x - mu), unchecked
+    return min(1.0, math.exp(_poisson_log_sums(rv.theta, rv.y, tail,
+                                               lambda mu: ((q := tail(mu)), q, q))[0]))
 
 
 def _logsumexp2(l1: float, l2: float) -> float:

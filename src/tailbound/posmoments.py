@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 from .distributions import MixtureRV, TwoPointRV, mixture_mgf
 from .errors import DomainError, NumericalError, RangeError
-from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sum, _poisson_log_sums
+# Not called here: benchmark/tracing.py wraps normal_tail under this name.
+from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sums  # noqa: F401
 
 __all__ = [
     "PosMomentMethod",
@@ -80,40 +81,6 @@ class PosMomentMethod:
         return cls("charfn")
 
 
-def _gauss_partial_moment(v: float, mu: float, alpha: int) -> float:
-    """E(sqrt(v) Z + mu)_+^alpha for Z standard normal and alpha in {1,2,3};
-    :func:`_gauss_power_moment` takes every other power.
-
-    With z0 = -mu / sqrt(v), Q = P(Z >= z0) and phi the standard normal
-    density at z0:
-
-        alpha = 1:  sqrt(v) phi + mu Q
-        alpha = 2:  (v + mu^2) Q + sqrt(v) mu phi
-        alpha = 3:  mu (3v + mu^2) Q + sqrt(v) (2v + mu^2) phi
-
-    The coefficients follow from the recursions for truncated normal
-    moments and are pinned against a quadrature oracle in the tests.  Past
-    z0 = 5 the two terms nearly cancel (at alpha = 3 the relative error of
-    the closed form is 1e-10 at z0 = 8.4 and 4e-9 at z0 = 12.6), so there
-    the slice is sqrt(v)^alpha phi J_alpha(z0) from :func:`_mills_moment`.
-    """
-    if v == 0.0:
-        return max(mu, 0.0) ** alpha
-    s = math.sqrt(v)
-    z0 = -mu / s
-    phi = math.exp(-0.5 * z0 * z0) / _SQRT_2PI
-    if z0 > 5.0:
-        return s**alpha * phi * _mills_moment(z0, alpha)
-    q = normal_tail(1.0, z0)
-    if alpha == 1:
-        return s * phi + mu * q
-    if alpha == 2:
-        return (v + mu * mu) * q + s * mu * phi
-    if alpha == 3:
-        return mu * (3.0 * v + mu * mu) * q + s * (2.0 * v + mu * mu) * phi
-    raise DomainError(f"alpha must be 1, 2 or 3, got {alpha}")
-
-
 def _gauss_power_moment(v: float, mu: float, p: float) -> float:
     """E(sqrt(v) Z + mu)_+^p for Z standard normal and any real p > 0.
 
@@ -145,21 +112,16 @@ def _gauss_power_moment(v: float, mu: float, p: float) -> float:
     return v ** (0.5 * p) * math.exp(-0.5 * z0 * z0) / _SQRT_2PI * _mills_power(z0, p)
 
 
-def _mills_moment(z: float, n: int) -> float:
-    """J_n(z) = Int_0^inf u^n exp(-z u - u^2/2) du, so E(Z - z)_+^n =
-    phi(z) J_n(z); see :func:`_mills_moments`."""
-    return _mills_moments(z, n)[0]
-
-
 def _mills_moments(z: float, n: int, count: int = 1) -> tuple[float, ...]:
     """(J_n(z), J_{n-1}(z), ..., J_{n-count+1}(z)) for n <= 3 and count <=
-    n + 1, with J_m as in :func:`_mills_moment`, from one run of the
-    continued fraction r_m = J_m/J_{m-1} = m/(z + r_{m+1}) (by parts;
-    z J_0 + J_1 = 1) backward from depth 10 + 800/z^2.  That agrees with
-    50-digit mpmath within 5e-13 for 5 <= z < 38.  The ratios do not depend
-    on n, so the loop stops above order 3 and the last three steps are
-    written out: J_0 = 1/(z + r_1) and J_m = r_m ... r_1 J_0, each product
-    taken from r_m down, the generic loop's operations in its order."""
+    n + 1, J_m(z) = Int_0^inf u^m exp(-z u - u^2/2) du, so E(Z - z)_+^m =
+    phi(z) J_m(z), from one run of the continued fraction r_m = J_m/J_{m-1}
+    = m/(z + r_{m+1}) (by parts; z J_0 + J_1 = 1) backward from depth
+    10 + 800/z^2.  That agrees with 50-digit mpmath within 5e-13 for 5 <= z
+    < 38.  The ratios do not depend on n, so the loop stops above order 3
+    and the last three steps are written out: J_0 = 1/(z + r_1) and J_m =
+    r_m ... r_1 J_0, each product taken from r_m down, the generic loop's
+    operations in its order."""
     if not 0 <= n <= 3:
         raise DomainError(f"_mills_moments takes orders 0 to 3, got {n}")
     rho = 0.0
@@ -191,7 +153,7 @@ def _mills_power(z: float, p: float) -> float:
       the next regime runs.
     - otherwise J_p(0) = sum_n z^n/n! J_{p+n}(z) (Taylor in z; all terms
       positive), with the ratios J_{p+n}/J_{p+n-1} from the continued
-      fraction of :func:`_mills_moment`: one backward loop sums the
+      fraction of :func:`_mills_moments`: one backward loop sums the
       Horner form h, and J_p(z) = J_p(0)/h.  Its depth,
       12 z + 40 + 1.5 p + 500/z^2, is at least 1.3 times the depth at which
       the loop settles to 1e-15, for every p <= 8 and z in this regime.
@@ -243,52 +205,74 @@ def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: float) -> float:
 
     Each count k contributes pmf(k) * E(sqrt(v) Z + y(k - theta) - w)_+^alpha,
     the Gaussian slice: closed forms for alpha in {1, 2, 3}
-    (:func:`_gauss_partial_moment`), :func:`_gauss_power_moment` otherwise.
-    The slice is log-concave in k for every alpha > 0 (Prekopa), so
-    :func:`tailbound.special._poisson_log_sum` sums the series outward from
-    its peak with a certified stop.
+    (:func:`_gauss_partial_triple`), :func:`_gauss_power_moment` otherwise.
+    The slice (the top slice of :func:`_slices`) is log-concave in k for
+    every alpha > 0 (Prekopa), so the Poisson-count walk
+    :func:`tailbound.special._poisson_log_sums` sums the series outward from
+    its peak with a certified stop, as its one-power case: the slice three
+    times over.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
     if rv.v == 0.0:
         return pos_moment_poisson_local(rv.theta, rv.y, w, float(alpha))
-    gauss = _gauss_power_moment
-    if alpha in (1, 2, 3):
-        # As an int: _mills_moment compares it with its loop counter.
-        gauss, alpha = _gauss_partial_moment, int(alpha)
+    top = _slices(rv, w, alpha)[0]
     if rv.theta == 0.0:
-        return gauss(rv.v, -w, alpha)
-    v, y, theta = rv.v, rv.y, rv.theta
-    return math.exp(_poisson_log_sum(
-        theta, lambda k: gauss(v, y * (k - theta) - w, alpha)))
+        return top(0.0)
+    return math.exp(_poisson_log_sums(rv.theta, rv.y, top, lambda mu: ((e := top(mu)), e, e))[0])
 
 
 def _gauss_partial_triple(v: float, s: float, mu: float,
                           alpha: int) -> tuple[float, float, float]:
-    """The slices E(sqrt(v) Z + mu)_+^p, s = sqrt(v), of the three powers
-    p = alpha, alpha - 1, alpha - 2 for alpha in {2, 3}, as
-    :func:`_gauss_partial_moment` forms each (the power-0 slice is Q), from
-    one erfc and one exp; past z0 = 5 from one :func:`_mills_moments` run."""
+    """(E_alpha, E_{alpha-1}, E_{alpha-2}) for E_p = E(sqrt(v) Z + mu)_+^p,
+    s = sqrt(v), Z standard normal and alpha in {1, 2, 3}; for alpha = 1 the
+    last entry is E_0 again.  :func:`_gauss_power_moment` takes every other
+    power.
+
+    With z0 = -mu / s, Q = P(Z >= z0) = E_0 and phi the standard normal
+    density at z0, from one erfc and one exp:
+
+        E_1 = s phi + mu Q
+        E_2 = (v + mu^2) Q + s mu phi
+        E_3 = mu (3v + mu^2) Q + s (2v + mu^2) phi
+
+    The coefficients follow from the recursions for truncated normal
+    moments and are pinned against a quadrature oracle in the tests.  Past
+    z0 = 5 the two terms nearly cancel (at alpha = 3 the relative error of
+    the closed form is 1e-10 at z0 = 8.4 and 4e-9 at z0 = 12.6), so there
+    E_p = s^p phi J_p(z0) from one :func:`_mills_moments` run.  At v = 0
+    the slices are the powers of mu_+, with E_0 = 1{mu > 0}.
+    """
+    if v == 0.0:
+        return (mu**alpha, mu**(alpha - 1), mu**max(alpha - 2, 0)) if mu > 0.0 else (0.0, 0.0, 0.0)
     z0 = -mu / s
     phi = math.exp(-0.5 * z0 * z0) / _SQRT_2PI
     if z0 > 5.0:
-        j0, j1, j2 = _mills_moments(z0, alpha, 3)
-        return s**alpha * phi * j0, s**(alpha - 1) * phi * j1, s**(alpha - 2) * phi * j2
+        if alpha > 1:
+            j0, j1, j2 = _mills_moments(z0, alpha, 3)
+            return s**alpha * phi * j0, s**(alpha - 1) * phi * j1, s**(alpha - 2) * phi * j2
+        j1, j0 = _mills_moments(z0, alpha, 2)
+        return s * phi * j1, phi * j0, phi * j0
     q = 0.5 * math.erfc(z0 / _SQRT2)
     e1 = s * phi + mu * q
     e2 = (v + mu * mu) * q + s * mu * phi
+    if alpha == 3:
+        return mu * (3.0 * v + mu * mu) * q + s * (2.0 * v + mu * mu) * phi, e2, e1
     if alpha == 2:
         return e2, e1, q
-    return mu * (3.0 * v + mu * mu) * q + s * (2.0 * v + mu * mu) * phi, e2, e1
+    if alpha == 1:
+        return e1, q, q
+    raise DomainError(f"alpha must be 1, 2 or 3, got {alpha}")
 
 
 def _slices(rv: MixtureRV, w: float, alpha: float) -> tuple[
         Callable[[float], float], Callable[[float], tuple[float, float, float]]]:
     """(mu |-> the slice of the power alpha, mu |-> the slices of the powers
     alpha, alpha - 1 and alpha - 2), a slice being E(sqrt(v) Z + mu - w)_+^p:
-    closed forms for alpha in {2, 3}, :func:`_gauss_power_moment` per power
-    otherwise, and the powers of (mu - w)_+ themselves for v = 0.  For
-    alpha < 2 the third power is alpha - 1 again."""
+    closed forms for alpha in {1, 2, 3} (:func:`_gauss_partial_triple`),
+    :func:`_gauss_power_moment` per power otherwise, and the powers of
+    (mu - w)_+ themselves for v = 0.  For alpha < 2 the third power is
+    alpha - 1 again."""
     a1 = alpha - 1.0
     a2 = alpha - 2.0 if alpha >= 2.0 else a1
     if rv.v == 0.0:
@@ -297,9 +281,10 @@ def _slices(rv: MixtureRV, w: float, alpha: float) -> tuple[
             return (d**alpha, d**a1, d**a2) if d > 0.0 else (0.0, 0.0, 0.0)
         return lambda mu: max(mu - w, 0.0) ** alpha, lattice
     v = rv.v
-    if alpha in (2, 3):
+    if alpha in (1, 2, 3):
+        # As an int: _mills_moments slices its tuple with it.
         s, n = math.sqrt(v), int(alpha)
-        return (lambda mu: _gauss_partial_moment(v, mu - w, n),
+        return (lambda mu: _gauss_partial_triple(v, s, mu - w, n)[0],
                 lambda mu: _gauss_partial_triple(v, s, mu - w, n))
     gauss = _gauss_power_moment
     if alpha < 2.0:
@@ -531,8 +516,9 @@ def pos_moment_poisson_local(theta: float, y: float, w: float,
 
     Only counts k with y (k - theta) > w contribute, so the sum starts at
     k0 = floor(w/y + theta) + 1; (y (k - theta) - w)^alpha is log-concave
-    there, so :func:`tailbound.special._poisson_log_sum` applies and
-    fractional alpha costs nothing.
+    there, so the Poisson-count walk
+    :func:`tailbound.special._poisson_log_sums` applies, as its one-power
+    case, and fractional alpha costs nothing.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -542,8 +528,11 @@ def pos_moment_poisson_local(theta: float, y: float, w: float,
         raise DomainError(f"y must be positive, got {y}")
     if theta == 0.0:
         return max(-w, 0.0) ** alpha
-    return math.exp(_poisson_log_sum(theta, lambda k: max(y * (k - theta) - w, 0.0) ** alpha,
-                                     max(0, math.floor(w / y + theta) + 1)))
+
+    def top(mu: float) -> float:
+        return max(mu - w, 0.0) ** alpha
+    return math.exp(_poisson_log_sums(theta, y, top, lambda mu: ((e := top(mu)), e, e),
+                                      max(0, math.floor(w / y + theta) + 1))[0])
 
 
 # Cumulants of the mixture: kappa_2 = v + y^2 theta, kappa_m = y^m theta

@@ -1,6 +1,8 @@
 """Numerically stable scalar kernels: Lambert W, the Bennett function,
 Poisson and Gaussian survival functions, truncated exponential remainders,
-the Poisson-count sums, and the package's bracketing root solver,
+the one Poisson-count walk (:func:`_poisson_log_sums`) that every
+Poisson-mixture sum of the package goes through, whatever its number of
+powers, and the package's bracketing root solver,
 :func:`_root_in_bracket` (Brent's method), which every optimizer goes
 through but t_x, whose moments give it a derivative
 (:func:`tailbound.bounds._solve_t_x`).
@@ -19,7 +21,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import DomainError, NumericalError, RangeError, TailboundError
+from .errors import DomainError, NumericalError, RangeError
 
 __all__ = [
     "lambert_w0",
@@ -200,50 +202,41 @@ _TERM_BUDGET = 1 << 18
 _PEAK_SCAN = 4
 _NORMAL_MIN = sys.float_info.min
 _OVERFLOW = "a term of the Poisson-count sum overflows a double at count {}"
-
-
-def _poisson_log_sum(theta: float, f: Callable[[int], float],
-                     k_min: int = 0) -> float:
-    """log sum_{k >= k_min} P(Pois(theta) = k) f(k), for theta > 0 and f >= 0
-    nondecreasing and log-concave in k.
-
-    The term ratio theta/(k+1) * f(k+1)/f(k) is then nonincreasing in k, so
-    the terms rise to one peak, at or above the Poisson mode, and fall away
-    on both sides.  :func:`_poisson_peak` finds the peak and
-    :func:`_poisson_side` sums each side of it with a certified stop, so only
-    the peak term needs an lgamma.  Values of f below the smallest normal
-    double count as zero (an absolute error below 1e-307).  Raises
-    NumericalError past _TERM_BUDGET terms.
-    """
-    peak, f_peak = _poisson_peak(theta, f, k_min)
-    log_unit = _poisson_logpmf(peak, theta) + math.log(f_peak)
-    total = _poisson_side(theta, f, peak, f_peak, 1, k_min, 1.0, log_unit)
-    total = _poisson_side(theta, f, peak, f_peak, -1, k_min, total, log_unit)
-    return log_unit + math.log(total)
+_UNTERMINATED = f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms"
 
 
 def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
                       slices: Callable[[float], tuple[float, float, float]],
                       k_min: int = 0) -> tuple[float, float, float]:
-    """The three logs log sum_{k >= k_min} P(Pois(theta) = k) f_i(k) of
-    (f_0, f_1, f_2)(k) = slices(y (k - theta)) in one walk, for f_0(k) =
-    top(y (k - theta)).
+    """The three logs log sum_{k >= k_min} P(Pois(theta) = k) f_i(k), for
+    theta > 0, of (f_0, f_1, f_2)(k) = slices(y (k - theta)), in one walk;
+    top(y (k - theta)) is f_0(k), the form the peak search evaluates.  This
+    is the package's one Poisson-count sum: a sum of one weight f is the
+    case top = f with slices returning f(mu) three times.
 
-    Each f_i must suit :func:`_poisson_log_sum`, and the ratios f_1/f_0 and
-    f_2/f_1 must be nonincreasing in k, as they are for positive-part powers
-    f_i(k) = E(Y + c k)_+^{p-i} of one log-concave Y (the p-th mean excess
-    grows with the shift).  Then f_0 peaks furthest right and f_2 furthest
-    left, and the ratio order carries a certified stop from f_0 to the other
-    two above the peak (the rest of each is at most its ratio to f_0 there
-    times the rest of f_0, and its sum so far at least that ratio times f_0's)
-    and from f_2 to the other two below it.  So one walk from f_0's peak
-    (:func:`_poisson_peak`), driven on f_0 upward and on f_2 downward, sums
-    all three to the accuracy of separate sums.  Each side is one loop with
-    one ``slices`` call a count, and stops or runs out of terms exactly where
-    :func:`_poisson_side` would on the driving power.  Raises RangeError at
-    the first term that is not a finite double.
+    Each f_i must be >= 0, nondecreasing and log-concave in k.  Its term
+    ratio theta/(k+1) * f_i(k+1)/f_i(k) is then nonincreasing in k, so the
+    terms rise to one peak, at or above the Poisson mode, and fall away on
+    both sides, and only the peak term needs an lgamma.  The ratios f_1/f_0
+    and f_2/f_1 must be nonincreasing in k too, as they are for
+    positive-part powers f_i(k) = E(Y + c k)_+^{p-i} of one log-concave Y
+    (the p-th mean excess grows with the shift).  Then f_0 peaks furthest
+    right and f_2 furthest left, and the ratio order carries a certified
+    stop from f_0 to the other two above the peak (the rest of each is at
+    most its ratio to f_0 there times the rest of f_0, and its sum so far at
+    least that ratio times f_0's) and from f_2 to the other two below it.
+    So one walk from f_0's peak (:func:`_poisson_peak`), driven on f_0
+    upward and on f_2 downward, sums all three to the accuracy of separate
+    sums.
+
+    Each side is one loop with one ``slices`` call a count.  It stops once
+    its latest driving ratio r < 1 bounds the rest of the driving sum, at
+    most t r / (1 - r), by 1e-18 of its total, or once the driving weight
+    falls below the smallest normal double (an absolute error below
+    1e-307).  Raises RangeError at the first term that is not a finite
+    double and NumericalError past _TERM_BUDGET / 2 terms on a side.
     """
-    peak, _ = _poisson_peak(theta, lambda k: top(y * (k - theta)), k_min)
+    peak = _poisson_peak(theta, lambda k: top(y * (k - theta)), k_min)
     s0, s1, s2 = at_peak = slices(y * (peak - theta))
     if not math.isfinite(s0 + s1 + s2):
         raise RangeError(_OVERFLOW.format(peak))
@@ -252,8 +245,8 @@ def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
     log_pmf = _poisson_logpmf(peak, theta)
     # Sums of P(k)/P(peak) f_i(k).  u is the driving term, carried by its
     # ratio r, and the others are u f_i / f_drive: both stay in range where
-    # the pmf ratio alone would not.  t and total, the driving terms and
-    # their sum in units of the peak's, are _poisson_side's, for its stop.
+    # the pmf ratio alone would not.  t and total are the driving terms and
+    # their sum in units of the peak's, for the stop.
     k, t, total = peak, 1.0, 1.0
     u = d = s0
     while True:
@@ -275,7 +268,7 @@ def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
         elif not r < math.inf:
             raise RangeError(_OVERFLOW.format(k))
         if k - peak > _TERM_BUDGET // 2:
-            raise _unterminated(total, k, log_pmf + math.log(at_peak[0]))
+            raise NumericalError(_UNTERMINATED, estimate=math.exp(log_pmf) * s0)
         d = v0
     k, t, total = peak, 1.0, s2 / at_peak[2]
     u = d = at_peak[2]
@@ -298,7 +291,7 @@ def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
         elif not r < math.inf:
             raise RangeError(_OVERFLOW.format(k))
         if peak - k > _TERM_BUDGET // 2:
-            raise _unterminated(total, k, log_pmf + math.log(at_peak[2]))
+            raise NumericalError(_UNTERMINATED, estimate=math.exp(log_pmf) * s0)
         d = v2
     if not math.isfinite(s0 + s1 + s2):
         # The peak search starts where f_0 is a normal double; a first such
@@ -308,20 +301,18 @@ def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
     return log_pmf + math.log(s0), log_pmf + math.log(s1), log_pmf + math.log(s2)
 
 
-def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int) -> tuple[int, float]:
-    """(peak, f(peak)) for the sums of :func:`_poisson_log_sum`: the first k
-    from max(k_min, floor(theta)) on where the term ratio
+def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int) -> int:
+    """The peak of the sum of P(Pois(theta) = k) f(k) over k >= k_min, for
+    f as in :func:`_poisson_log_sums`: the first k from max(k_min,
+    floor(theta)) on where f(k) is a normal double and the term ratio
     theta/(k+1) * f(k+1)/f(k) is at most 1.  Most peaks lie within a few
     counts of the start, so the search steps up one count at a time,
     carrying f(k+1) forward, for _PEAK_SCAN counts, and then doubles and
-    bisects on the sign of the ratio.  Raises RangeError where f(peak)
-    overflows a double."""
-    def at_peak(k: int) -> float | None:
-        """f(k) when the ratio at k is at most 1, else None."""
+    bisects on the sign of the ratio.  A non-finite f(k) ends the search at
+    k, where the walk raises."""
+    def at_peak(k: int) -> bool:
         fk = f(k)
-        if fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk:
-            return None
-        return fk
+        return not (fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk)
 
     peak = max(k_min, math.floor(theta))
     f_peak, f_next = f(peak), f(peak + 1)
@@ -329,108 +320,52 @@ def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int) -> tuple[
     while f_peak < _NORMAL_MIN or theta * f_next > (peak + 1) * f_peak:
         if scanned == _PEAK_SCAN:
             step = 2
-            while (found := at_peak(peak + step)) is None:
+            while not at_peak(peak + step):
                 peak, step = peak + step, 2 * step
             hi = peak + step
             while hi - peak > 1:
                 mid = (peak + hi) // 2
-                got = at_peak(mid)
-                if got is None:
-                    peak = mid
+                if at_peak(mid):
+                    hi = mid
                 else:
-                    hi, found = mid, got
-            peak, f_peak = hi, found
-            break
+                    peak = mid
+            return hi
         peak += 1
         scanned += 1
         f_peak, f_next = f_next, f(peak + 1)
-    if f_peak == math.inf:
-        raise RangeError(f"the Poisson-count sum's term at count {peak} overflows a double")
-    return peak, f_peak
-
-
-def _poisson_side(theta: float, f: Callable[[int], float], k: int, f_k: float,
-                  step: int, k_min: int, total: float, log_unit: float) -> float:
-    """``total`` plus the terms of one side of a Poisson-count sum: the counts
-    past k upward (step 1) or down to k_min (step -1), each in units of the
-    term at k, exp(log_unit), and carried from the last by its ratio.
-
-    The ratios fall along the walk, so the walk stops once its latest ratio
-    r < 1 bounds the rest, at most t r / (1 - r), by 1e-18 of the total, or
-    once f falls below the smallest normal double.  Raises NumericalError
-    past _TERM_BUDGET / 2 terms, RangeError if the terms overflowed by then.
-    """
-    t, f_prev, terms = 1.0, f_k, 0
-    while step > 0 or k > k_min:
-        r = theta / (k + 1) if step > 0 else k / theta
-        k += step
-        fk = f(k)
-        if fk < _NORMAL_MIN:
-            break
-        r *= fk / f_prev
-        t *= r
-        total += t
-        if r < 1.0 and t * r <= 1e-18 * total * (1.0 - r):
-            break
-        terms += 1
-        if terms > _TERM_BUDGET // 2:
-            raise _unterminated(total, k, log_unit)
-        f_prev = fk
-    return total
-
-
-def _unterminated(total: float, k: int, log_unit: float) -> TailboundError:
-    """The error of a Poisson-count walk that ran out of terms at count k,
-    its sum so far ``total`` in units of exp(log_unit)."""
-    # Terms that overflow to inf never meet the stop test.
-    if not math.isfinite(total):
-        return RangeError(_OVERFLOW.format(k))
-    return NumericalError(f"Poisson-count sum did not terminate within {_TERM_BUDGET} terms",
-                          estimate=math.exp(log_unit) * total)
+    return peak
 
 
 def poisson_tail(theta: float, u: float) -> float:
-    """Survival function P(Pois(theta) >= u) of a Poisson random variable.
-
-    Exactly 1 for u <= 0 and, when theta = 0, the indicator of u <= 0.
-    Otherwise the pmf over k >= ceil(u) is summed by
-    :func:`_poisson_log_sum`, which keeps full relative accuracy for
-    probabilities far below machine epsilon.
-    """
-    _check_poisson_args("poisson_tail", theta, u)
-    if u <= 0.0:
-        return 1.0
-    if theta == 0.0:
-        return 0.0
-    return math.exp(_log_tail(theta, math.ceil(u)))
+    """Survival function P(Pois(theta) >= u) of a Poisson random variable:
+    the exp of :func:`poisson_log_tail`, so exactly 1 for u <= 0 and, when
+    theta = 0, the indicator of u <= 0."""
+    return math.exp(poisson_log_tail(theta, u))
 
 
 def poisson_log_tail(theta: float, u: float) -> float:
-    """log P(Pois(theta) >= u), finite even where the tail itself underflows."""
-    _check_poisson_args("poisson_log_tail", theta, u)
+    """log P(Pois(theta) >= u), finite even where the tail itself underflows.
+
+    The pmf over k >= k_min = ceil(u) is summed by :func:`_poisson_log_sums`
+    (weight 1), which keeps full relative accuracy for probabilities far
+    below machine epsilon.  From k_min <= theta - sqrt(75 theta) down, the
+    Chernoff bound P(Pois <= theta - t) <= exp(-t^2 / (2 theta)) = e^-37.5 <
+    2^-54 rounds the tail to 1, so it is 1 without a walk (which past theta
+    ~ 2e8 would exceed the term budget).
+    """
+    if not math.isfinite(theta) or theta < 0.0:
+        raise DomainError(f"a Poisson tail requires theta >= 0, got {theta}")
+    if not math.isfinite(u):
+        raise DomainError(f"a Poisson tail requires finite u, got {u}")
     if u <= 0.0:
         return 0.0
     if theta == 0.0:
         return -math.inf
-    return _log_tail(theta, math.ceil(u))
-
-
-def _log_tail(theta: float, k_min: int) -> float:
-    """log P(Pois(theta) >= k_min) for theta > 0 and k_min >= 1.  From
-    k_min <= theta - sqrt(75 theta) down, the Chernoff bound
-    P(Pois <= theta - t) <= exp(-t^2 / (2 theta)) = e^-37.5 < 2^-54 rounds
-    the tail to 1, so it is 1 without a walk (which past theta ~ 2e8 would
-    exceed the term budget)."""
+    k_min = math.ceil(u)
     if k_min <= theta - math.sqrt(75.0 * theta):
         return 0.0
-    return min(0.0, _poisson_log_sum(theta, lambda k: 1.0, k_min))
-
-
-def _check_poisson_args(who: str, theta: float, u: float) -> None:
-    if not math.isfinite(theta) or theta < 0.0:
-        raise DomainError(f"{who} requires theta >= 0, got {theta}")
-    if not math.isfinite(u):
-        raise DomainError(f"{who} requires finite u, got {u}")
+    return min(0.0, _poisson_log_sums(theta, 1.0, lambda mu: 1.0,
+                                      lambda mu: (1.0, 1.0, 1.0), k_min)[0])
 
 
 def normal_tail(v: float, x: float) -> float:

@@ -15,6 +15,7 @@ import math
 import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 
 
 def lambert_bisect(z: float, tol: float = 1e-14) -> float:
@@ -297,17 +298,27 @@ def p_alpha_mp(v, y, theta, alpha, x, dps=30):
 def p_alpha_law_mp(moment, alpha, x, lo, sd, dps=30):
     """P_alpha = E(eta - t)_+^alpha / (x - t)^alpha at the root t of
     m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1} = x, for the law
-    whose moment(t, p) = E(eta - t)_+^p, solved by the Illinois method at
-    ``dps`` digits on [lo, x - 1e-9 sd].  t is stationary for the ratio, so
-    t to 1e-14 already fixes it to ~1e-28."""
+    whose moment(t, p) = E(eta - t)_+^p, at ``dps`` digits.  lo is only a
+    first guess: its offset from x doubles until m(lo) < x, so [lo, x -
+    1e-9 sd] brackets the root (on a lattice with small theta, t_x can lie
+    far left of the Gaussian guess).  Brent's method (scipy's brentq, on
+    the sign of m - x at dps digits) then finds t to 1e-15 |x|: m has kinks
+    on a lattice, with slopes 1e3 apart, where the Illinois and
+    Anderson-Bjorck methods have stopped 3e-6 and 6e-3 from the root.  t
+    is stationary for the ratio, so that t fixes it to ~1e-28."""
     with mpmath.workdps(dps):
         x = mpmath.mpf(x)
 
         def excess(t):
+            t = mpmath.mpf(t)
             return t + moment(t, alpha) / moment(t, alpha - 1) - x
 
-        t = mpmath.findroot(excess, (mpmath.mpf(lo), x - mpmath.mpf(sd) / 10**9),
-                            solver="illinois", tol=1e-14, verify=False)
+        lo, hi = mpmath.mpf(lo), x - mpmath.mpf(sd) / 10**9
+        while excess(lo) >= 0:
+            lo = x - 2 * (x - lo)
+        assert excess(hi) > 0, "no sign change of m(t) - x on the bracket"
+        t = mpmath.mpf(brentq(lambda t: float(excess(t)), float(lo), float(hi),
+                              xtol=1e-15 * max(1.0, abs(float(x)))))
         return float(moment(t, alpha) / (x - t) ** alpha)
 
 

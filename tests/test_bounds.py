@@ -6,7 +6,7 @@ import warnings
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -18,6 +18,7 @@ from tailbound import (
     RangeError,
     SummandBudget,
     TailBoundResult,
+    TailboundError,
     TwoPointRV,
     alpha_x_split,
     bh,
@@ -295,15 +296,15 @@ def test_pin_bracket_without_sign_change_is_numerical_error(monkeypatch):
 
 
 def _count_walks(monkeypatch) -> list[int]:
-    """Counts the Poisson-count walks of the series routes: scalar sums and
-    fused (N_a, N_{a-1}, N_{a-2}) walks alike."""
+    """Counts the Poisson-count walks of the series routes: one-power sums
+    and (N_a, N_{a-1}, N_{a-2}) triples go through the one walker."""
     from tailbound import posmoments
     count = [0]
-    for name in ("_poisson_log_sum", "_poisson_log_sums"):
-        def counted(*args, _walk=getattr(posmoments, name)):
-            count[0] += 1
-            return _walk(*args)
-        monkeypatch.setattr(posmoments, name, counted)
+
+    def counted(*args, _walk=posmoments._poisson_log_sums):
+        count[0] += 1
+        return _walk(*args)
+    monkeypatch.setattr(posmoments, "_poisson_log_sums", counted)
     return count
 
 
@@ -371,6 +372,9 @@ def test_p_alpha_mixture_solve_against_mpmath(alpha, eps, y, x_sd):
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(0.1, 3.0), st.floats(0.2, 2.0), st.floats(0.05, 6.0))
+# Small-theta lattices whose t_x lies left of the oracle's first guess.
+@example(0.28125, 1.625, 5.5)
+@example(0.1, 0.5, 5.0)
 def test_be_lattice_solve_against_mpmath(sigma, y, x_sd):
     params = BoundParams(sigma, y, 0.5)
     rv = params.bentkus()
@@ -584,10 +588,10 @@ def test_effective_epsilon_validation():
 
 
 def test_ea_against_dense_grid():
-    from tailbound.posmoments import _gauss_partial_moment
+    from tailbound.posmoments import _gauss_partial_triple
 
     def moment(t):
-        return 2.0 * _gauss_partial_moment(1.0, -t, 3)
+        return 2.0 * _gauss_partial_triple(1.0, math.sqrt(1.0), -t, 3)[0]
 
     for x in (1.0, 3.0, 5.0):
         ref = oracles.dense_palpha(moment, 3.0, x, t_lo=0.0, t_hi=x, n=40001)
@@ -669,9 +673,10 @@ def test_bounds_monotone_in_x():
 
 
 def test_overflowing_terms_fail_fast(monkeypatch):
-    # At sigma = y = 1e110 the top slice is NaN (its closed form overflows)
-    # at the walk's first count: a RangeError there, counted in slice calls
-    # so that it holds on any host, not after half a term budget of NaNs.
+    # On the raw law of sigma = y = 1e110 (pin itself runs at sigma = 1)
+    # the top slice is NaN (its closed form overflows) at the walk's first
+    # count: a RangeError there, counted in slice calls so that it holds on
+    # any host, not after half a term budget of NaNs.
     from tailbound import posmoments
     calls = [0]
 
@@ -681,5 +686,62 @@ def test_overflowing_terms_fail_fast(monkeypatch):
 
     monkeypatch.setattr(posmoments, "_gauss_partial_triple", counted)
     with pytest.raises(RangeError, match="overflows a double"):
-        pin(BoundParams(1e110, 1e110, 0.5), 2e110)
+        p_alpha(BoundParams(1e110, 1e110, 0.5).mixture(), 3.0, 2e110)
     assert 0 < calls[0] < 100
+
+
+# Every public bound, as a function of (BoundParams, x).
+_SCALED_BOUNDS = {
+    "bh": lambda p, x: bh(p.sigma, p.y, x).value,
+    "ca": lambda p, x: ca(p.sigma, x),
+    "en": lambda p, x: en(p.sigma, x),
+    "pu": lambda p, x: pu(p, x).value,
+    "pu_numeric": lambda p, x: pu_numeric(p, x).value,
+    "be": lambda p, x: be(p, x).value,
+    "pin": lambda p, x: pin(p, x).value,
+    "lc3_bound": lambda p, x: lc3_bound(p, x),
+}
+
+
+def _outcome(bound, params, x):
+    try:
+        return bound(params, x)
+    except TailboundError as exc:  # the error class must match too
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SCALED_BOUNDS)),
+       st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+                 st.integers(-990, 990).map(lambda e: 2.0**e)),
+       st.floats(0.05, 20.0), st.floats(0.01, 0.99),
+       st.one_of(st.just(0.0), st.floats(1e-6, 30.0)))
+@example("pin", 1e-200, 0.3, 0.5, 2.0)
+@example("be", 1e-170, 0.3, 0.5, 2.0)
+@example("ca", 1e200, 0.3, 0.5, 2.0)
+@example("en", 1e200, 0.3, 0.5, 2.0)
+@example("pin", 1e160, 0.3, 0.5, 2.0)
+@example("lc3_bound", 2.0**-600, 0.3, 0.5, 2.0)
+def test_bounds_are_scale_free(name, sigma, r, eps, xi):
+    # bound(sigma, r sigma, x sigma) = bound(1, r, x): exactly where sigma is
+    # a power of two (the products are then exact), else to the rounding of
+    # r sigma and x sigma.  sigma^2 and sigma^3 leave the double range at
+    # either end of this interval.
+    bound = _SCALED_BOUNDS[name]
+    got = _outcome(bound, BoundParams(sigma, r * sigma, eps), xi * sigma)
+    want = _outcome(bound, BoundParams(1.0, r, eps), xi)
+    if isinstance(want, float) and math.frexp(sigma)[0] == 0.5:
+        assert got == want
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert got is want
+
+
+def test_comparison_laws_out_of_range_are_range_errors():
+    # sigma^2 underflows at 1e-200 and overflows at 1e160.
+    for sigma in (1e-200, 1e160):
+        params = BoundParams(sigma, 0.3 * sigma, 0.5)
+        for law in (params.mixture, params.bentkus):
+            with pytest.raises(RangeError):
+                law()

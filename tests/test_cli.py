@@ -117,13 +117,23 @@ def test_eval_numerical_failure_exits_one(capsys):
 
 
 def test_eval_overflowing_moments_exit_one(capsys):
-    # At sigma = y = 1e110 the third moments behind pin overflow a double:
-    # a RangeError, which exits 1 like every numerical failure.
-    assert run(["eval", "--bound", "pin", "--sigma", "1e110", "--y", "1e110",
+    # At y / sigma = 1e110 a jump's third power behind pin overflows a
+    # double: a RangeError, which exits 1 like every numerical failure.
+    assert run(["eval", "--bound", "pin", "--sigma", "1e110", "--y", "1e220",
                 "--eps", "0.5", "--x", "2e110"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "overflows a double" in captured.err
+
+
+def test_eval_at_tiny_sigma_prints_the_unit_sigma_digits(capsys):
+    # sigma^2 underflows at sigma = 1e-200; the bound runs at sigma = 1.
+    assert run(["eval", "--bound", "pin", "--sigma", "1e-200", "--y", "3e-201",
+                "--eps", "0.5", "--x", "2e-200"]) == 0
+    tiny = capsys.readouterr()
+    assert run(["eval", "--bound", "pin", "--sigma", "1", "--y", "0.3",
+                "--eps", "0.5", "--x", "2"]) == 0
+    assert tiny.err == "" and tiny.out == capsys.readouterr().out == "value\n1.008987128766e-01\n"
 
 
 def _subprocess_env() -> dict:

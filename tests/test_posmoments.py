@@ -14,6 +14,7 @@ from tailbound import (
     DomainError,
     MixtureRV,
     PosMomentMethod,
+    RangeError,
     SlowDecayWarning,
     TwoPointRV,
     mixture_mgf,
@@ -27,8 +28,7 @@ from tailbound import (
 )
 from tailbound.bounds import p_alpha
 from tailbound.oracle import hp_counterexample_gap
-from tailbound.posmoments import (_gauss_partial_moment, _gauss_power_moment, _mills_moment,
-                                  _mills_power)
+from tailbound.posmoments import _gauss_partial_triple, _gauss_power_moment, _mills_power
 from tailbound.posmoments import _mills_moments, _pos_moment_triple
 from tailbound import mixture_tail, poisson_tail
 
@@ -52,7 +52,7 @@ def test_method_selector_validation():
     (1.0, 0.0), (1.0, 2.5), (1.0, -2.5), (0.25, 0.7), (4.0, -1.2),
 ])
 def test_gauss_partial_moment_closed_forms(v, mu, alpha):
-    assert _gauss_partial_moment(v, mu, alpha) == pytest.approx(
+    assert _gauss_partial_triple(v, math.sqrt(v), mu, alpha)[0] == pytest.approx(
         oracles.normal_partial_moment_quad(v, mu, alpha), rel=1e-10, abs=1e-13)
 
 
@@ -79,7 +79,7 @@ def test_mills_moment_continued_fraction(alpha):
     for i in range(65):
         z = 5.0 + 0.5 * i
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        assert phi * _mills_moment(z, alpha) == pytest.approx(
+        assert phi * _mills_moments(z, alpha)[0] == pytest.approx(
             _gauss_partial_moment_mp(1.0, -z, alpha), rel=5e-13, abs=0.0)
 
 
@@ -105,15 +105,15 @@ def test_gauss_partial_moment_deep_slices(alpha):
     # off by 4.4e-9 at z0 = 12.6, alpha = 3.
     for z0 in (5.3, 8.4, 12.6, 17.0, 25.0, 37.0):
         mu = -z0 * math.sqrt(0.9)
-        assert _gauss_partial_moment(0.9, mu, alpha) == pytest.approx(
+        assert _gauss_partial_triple(0.9, math.sqrt(0.9), mu, alpha)[0] == pytest.approx(
             _gauss_partial_moment_mp(0.9, mu, alpha), rel=5e-13, abs=0.0)
 
 
 def test_gauss_partial_moment_degenerate():
-    assert _gauss_partial_moment(0.0, 2.0, 3) == 8.0
-    assert _gauss_partial_moment(0.0, -2.0, 3) == 0.0
+    assert _gauss_partial_triple(0.0, math.sqrt(0.0), 2.0, 3)[0] == 8.0
+    assert _gauss_partial_triple(0.0, math.sqrt(0.0), -2.0, 3)[0] == 0.0
     with pytest.raises(DomainError):
-        _gauss_partial_moment(1.0, 0.0, 4)
+        _gauss_partial_triple(1.0, math.sqrt(1.0), 0.0, 4)[0]
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -143,7 +143,7 @@ def test_series_deep_shift_against_mpmath(w, want):
 def test_series_pure_gaussian_slice():
     rv = MixtureRV(1.44, 1.0, 0.0)
     assert pos_moment_mixture_series(rv, 0.3, 2) == pytest.approx(
-        _gauss_partial_moment(1.44, -0.3, 2), rel=1e-14)
+        _gauss_partial_triple(1.44, math.sqrt(1.44), -0.3, 2)[0], rel=1e-14)
 
 
 def test_series_delegates_pure_poisson():
@@ -427,3 +427,38 @@ def test_pos_moment_triple_matches_the_scalar_sums(law, sigma, log10_y, eps, shi
         else:
             want = poisson_tail(rv.theta, math.floor(w / rv.y + rv.theta) + 1)
         assert value == pytest.approx(want, rel=_walk_tol(rv.theta, want), abs=0.0)
+
+
+def test_one_power_sums_take_one_walk(monkeypatch):
+    # mixture_tail, the default pos_moment and poisson_tail are each one call
+    # of the one Poisson-count walk.
+    from tailbound import distributions, special
+    calls, walk = [], special._poisson_log_sums
+
+    def counted(*args):
+        calls.append(args[0])
+        return walk(*args)
+    for module in (special, posmoments, distributions):
+        monkeypatch.setattr(module, "_poisson_log_sums", counted)
+    for call in (lambda: mixture_tail(MIX, 2.0), lambda: pos_moment(MIX, 1.0, 3),
+                 lambda: pos_moment(MIX, 1.0, 2.5), lambda: poisson_tail(3.0, 5.0),
+                 lambda: pos_moment(MixtureRV(0.0, 0.5, 2.0), 0.4, 2)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+def test_one_power_walk_fails_fast_on_overflow(monkeypatch):
+    # At sigma = y = 1e110 the cube slices overflow (their closed form is
+    # NaN) from the first count: a RangeError within a few slice calls, not
+    # after half a term budget (131 072 counts) of NaN terms.
+    calls = [0]
+
+    def counted(*args, _triple=posmoments._gauss_partial_triple):
+        calls[0] += 1
+        return _triple(*args)
+
+    monkeypatch.setattr(posmoments, "_gauss_partial_triple", counted)
+    with pytest.raises(RangeError):
+        pos_moment(BoundParams(1e110, 1e110, 0.5).mixture(), 0.0, 3)
+    assert 0 < calls[0] < 100

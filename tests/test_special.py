@@ -20,8 +20,8 @@ from tailbound import (
     poisson_log_tail,
     poisson_tail,
 )
-from tailbound.posmoments import _gauss_partial_moment
-from tailbound.special import _poisson_log_sum, _root_in_bracket
+from tailbound.posmoments import _gauss_partial_triple
+from tailbound.special import _root_in_bracket
 from tailbound import RangeError
 from tailbound.special import _poisson_log_sums
 
@@ -294,19 +294,20 @@ def test_poisson_log_sum_matches_brute_force(theta, y, v, w, alpha):
     k_local = max(0, math.floor(w / y + theta) + 1)
     k_tail = max(0, math.ceil(theta + w))
 
-    def local(k):
-        g = y * (k - theta) - w
+    def local(mu):
+        g = mu - w
         return g ** alpha if g > 0.0 else 0.0
 
     cases = [
-        (lambda k: 1.0, k_tail),
+        (lambda mu: 1.0, k_tail),
         (local, k_local),
-        (lambda k: normal_tail(v, w - y * (k - theta)), 0),
-        (lambda k: _gauss_partial_moment(v, y * (k - theta) - w, alpha), 0),
+        (lambda mu: normal_tail(v, w - mu), 0),
+        (lambda mu: _gauss_partial_triple(v, math.sqrt(v), mu - w, alpha)[0], 0),
     ]
     for f, k_min in cases:
-        got = _poisson_log_sum(theta, f, k_min)
-        want = _brute_log_sum(theta, f, k_min, k_max)
+        # The one-power case of the walk: the weight three times over.
+        got = _poisson_log_sums(theta, y, f, lambda mu: (f(mu),) * 3, k_min)[0]
+        want = _brute_log_sum(theta, lambda k: f(y * (k - theta)), k_min, k_max)
         assert math.exp(got - want) == pytest.approx(1.0, abs=1e-13)
 
 
