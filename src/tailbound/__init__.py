@@ -30,7 +30,8 @@ __version__ = "0.1.0"
 
 # The oracles need numpy, which the bounds do not: they load on first use.
 _ORACLE_NAMES = ("SumSpec", "TestFunction", "MCEstimate", "extremal_two_point",
-                 "extremal_sum_spec", "enumerate_expectation", "mixture_expectation_f",
+                 "extremal_sum_spec", "enumerate_expectation", "exact_tail",
+                 "mixture_expectation_f",
                  "mc_tail", "mc_expectation", "random_sum_spec", "hp_counterexample_gap")
 
 

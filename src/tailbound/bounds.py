@@ -108,7 +108,8 @@ def _scale_free(power: int, nonneg_x: bool = True) -> Callable[[Callable], Calla
     eps) and x/sigma, after checking x (x >= 0, or finite x only where
     ``nonneg_x`` is false).  The bounds are scale-equivariant, and at sigma
     = 1 no power of sigma leaves the double range.  A TailBoundResult's
-    optimizer comes back times sigma**power (t_x: 1, lambda_x: -1).  At
+    optimizer comes back times sigma**power (t_x: 1, lambda_x: -1); a
+    float (alpha_x_split's ratio, power 0) comes back as it is.  At
     sigma = 1 no bit changes: dividing by 1.0 is exact."""
     def wrap(bound: Callable) -> Callable:
         @functools.wraps(bound)
@@ -153,15 +154,20 @@ def bh_exp(sigma: float, y: float, lam: float) -> float:
 
 def pu_exp(params: BoundParams, lam: float) -> float:
     """E exp(lam eta) for the comparison mixture: the Gaussian factor
-    exp(lam^2 (1-eps) sigma^2 / 2) times the centered-Poisson factor."""
+    exp(lam^2 (1-eps) sigma^2 / 2) times the centered-Poisson factor.
+    Scale-free: computed on l = lam sigma, r = y / sigma and the Poisson
+    rate theta = eps / r^2, at sigma = 1 bit for bit the unscaled form."""
     if not (lam >= 0.0):
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    u = lam * params.y
+    l, r, eps = lam * params.sigma, params.y / params.sigma, params.eps
+    theta = eps / (r * r) if r * r > 0.0 else math.inf
+    if not (math.isfinite(l) and math.isfinite(r) and math.isfinite(theta)):
+        raise RangeError(f"lambda sigma = {l}, y / sigma = {r} or theta = {theta} "
+                         "leaves the double range")
+    u = l * r
     if u > _MAX_EXP_ARG:
         raise RangeError(f"lambda*y = {u} overflows the exponential bound")
-    s2, y, eps = params.sigma**2, params.y, params.eps
-    expo = 0.5 * lam * lam * (1.0 - eps) * s2 + eps * s2 / (y * y) * exp_remainder(1, u)
-    return math.exp(expo)
+    return math.exp(0.5 * l * l * (1.0 - eps) + theta * exp_remainder(1, u))
 
 
 def _pu_exponent(params: BoundParams, lam: float, x: float) -> float:
@@ -588,6 +594,7 @@ def ea(x: float) -> float:
     return min(1.0, 2.0 * e3 / (x - t) ** 3)
 
 
+@_scale_free(0)
 def alpha_x_split(params: BoundParams, x: float) -> float:
     """The split point alpha_x in (eps, 1) at which PU factors exactly into
     a Gaussian EN piece at (1-alpha_x) x and a Poisson BH piece at
@@ -598,15 +605,15 @@ def alpha_x_split(params: BoundParams, x: float) -> float:
         (1 - a) x^2 / ((1-eps) sigma^2) - (x/y) ln(1 + a x y / (eps sigma^2))
 
     over a in (0, 1); positive at 0 and negative at 1, so Brent's method
-    (:func:`tailbound.special._root_in_bracket`) finds it.
+    (:func:`tailbound.special._root_in_bracket`) finds it.  Scale-free: run
+    at sigma = 1.
     """
     if not (x > 0.0):
         raise DomainError(f"x must be positive, got {x}")
-    s2, y, eps = params.sigma**2, params.y, params.eps
+    y, eps = params.y, params.eps
 
     def h(a: float) -> float:
-        return ((1.0 - a) * x * x / ((1.0 - eps) * s2)
-                - x / y * math.log1p(a * x * y / (eps * s2)))
+        return (1.0 - a) * x * x / (1.0 - eps) - x / y * math.log1p(a * x * y / eps)
 
     return _root_in_bracket(h, 0.0, 1.0, rtol=1e-15)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "extremal_two_point",
     "extremal_sum_spec",
     "enumerate_expectation",
+    "exact_tail",
     "mixture_expectation_f",
     "mc_tail",
     "mc_expectation",
@@ -37,6 +40,9 @@ __all__ = [
 
 _ENUM_MAX = 24
 _CHUNK = 1 << 18
+# Elements per block of a vectorized pass, so that a block's arrays stay
+# in cache: samples in the sampler, atoms in the enumeration.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,18 +198,30 @@ def extremal_sum_spec(params: BoundParams, m: int) -> SumSpec:
     return spec
 
 
+def _atoms(summands) -> tuple[np.ndarray, np.ndarray]:
+    """Values and weights of a partial sum over all its sign patterns,
+    weights multiplied along the way."""
+    values = np.zeros(1)
+    weights = np.ones(1)
+    for rv in summands:
+        values = np.concatenate([values - rv.a, values + rv.b])
+        weights = np.concatenate([weights * rv.prob_neg, weights * rv.prob_pos])
+    return values, weights
+
+
 def enumerate_expectation(spec: SumSpec, f: TestFunction) -> float:
-    """Exact E f(S) over all 2^n sign patterns, weights multiplied along
-    the way; n is capped at 24 (16.7M atoms)."""
+    """Exact E f(S) over all 2^n sign patterns, n capped at 24 (16.7M
+    atoms), by meeting in the middle: with the atoms (v1, w1) and (v2, w2)
+    of the two halves, E f(S) = w1 . f(v1 + v2^T) . w2, formed a block of
+    at most _BLOCK atoms at a time."""
     n = len(spec.summands)
     if n > _ENUM_MAX:
         raise DomainError(f"enumeration supports at most {_ENUM_MAX} summands, got {n}")
-    values = np.zeros(1)
-    weights = np.ones(1)
-    for rv in spec.summands:
-        values = np.concatenate([values - rv.a, values + rv.b])
-        weights = np.concatenate([weights * rv.prob_neg, weights * rv.prob_pos])
-    return float(np.dot(weights, f(values)))
+    v1, w1 = _atoms(spec.summands[:n // 2])
+    v2, w2 = _atoms(spec.summands[n // 2:])
+    rows = max(1, _BLOCK // len(v2))
+    return float(sum(w1[i:i + rows] @ (f(v1[i:i + rows, None] + v2) @ w2)
+                     for i in range(0, len(v1), rows)))
 
 
 def mixture_expectation_f(params: BoundParams, f: TestFunction) -> float:
@@ -223,9 +241,9 @@ def mixture_expectation_f(params: BoundParams, f: TestFunction) -> float:
 
 
 def _grouped(spec: SumSpec) -> list[tuple[float, float, int]]:
-    counts: dict[tuple[float, float], int] = {}
-    for rv in spec.summands:
-        counts[(rv.a, rv.b)] = counts.get((rv.a, rv.b), 0) + 1
+    """The distinct laws (a, b) of the summands with their multiplicities c,
+    in order of first appearance."""
+    counts = Counter(map(attrgetter("a", "b"), spec.summands))
     return [(a, b, c) for (a, b), c in counts.items()]
 
 
@@ -238,24 +256,97 @@ def _philox_key(seed: int, i: int) -> np.ndarray:
     return np.array([seed, i], dtype=np.uint64)
 
 
+def _binom_pmf(c: int, q: float, r: float) -> np.ndarray:
+    """P(K = k) for k = 0..c and K ~ Bin(c, q), r = 1 - q, each atom from
+    its logarithm, lgamma terms plus k log q + (c - k) log r, so that the
+    far tails keep their relative digits down to the underflow limit."""
+    lf = np.fromiter(map(math.lgamma, range(1, c + 2)), float, c + 1)  # log k!
+    k = np.arange(c + 1)
+    return np.exp(lf[c] - lf - lf[::-1] + k * math.log(q) + (c - k) * math.log(r))
+
+
+def _group_law(a: float, b: float, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values k (a + b) - c a and pmf of the sum of c copies of the law on
+    {-a, b}, K ~ Bin(c, a / (a + b)) counting the upper points.  The values
+    are formed in the sampler's floating-point order."""
+    return np.arange(c + 1) * (a + b) - c * a, _binom_pmf(c, a / (a + b), b / (a + b))
+
+
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table (Chen and Asau) of a cdf with m = len(cdf) atoms: entry
+    j is the draw of a point just below j/m, so that no u with floor(u m)
+    = j undercuts it even after rounding.  m + 1 entries: u m can round up
+    to m."""
+    m = len(cdf)
+    return np.searchsorted(cdf, np.arange(m + 1) / m * (1.0 - 1e-15), side="right")
+
+
+def _inverse_cdf(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right"), the first k with cdf[k] > u, for
+    a cdf ending in 1.0 and u in [0, 1).  Starting from the guide entry of
+    u's bucket, one vectorized step up settles all but the few u whose
+    bucket spans several atoms, and those take the binary search.  Exact
+    on every sample."""
+    k = guide[(u * len(cdf)).astype(np.intp)]
+    k += cdf[k] <= u
+    idx = np.flatnonzero(cdf[k] <= u)
+    k[idx] = np.searchsorted(cdf, u[idx], side="right")
+    return k
+
+
 def _sample_chunks(spec: SumSpec, n: int, seed: int):
     """Yield arrays of samples of S in fixed-size chunks.
 
     Identical summands are grouped, so each sample needs one binomial draw
-    per distinct law instead of one Bernoulli per summand.  Each chunk gets
-    its own counter-based generator keyed by (seed, chunk index), making
-    the stream independent of how chunks are scheduled.
+    per distinct law instead of one Bernoulli per summand: the exact
+    inverse-cdf image of a uniform, through a cdf table built per call
+    (dividing by its last entry makes that entry exactly 1.0).  Each chunk
+    gets its own counter-based generator keyed by (seed, chunk index),
+    making the stream independent of how chunks are scheduled; group g of
+    a chunk takes the g-th run of ``size`` uniforms of its stream.  The
+    draws are made _BLOCK samples at a time.
     """
-    groups = _grouped(spec)
+    tables = []
+    for a, b, c in _grouped(spec):
+        values, pmf = _group_law(a, b, c)
+        cdf = np.cumsum(pmf)
+        cdf /= cdf[-1]
+        tables.append((values, cdf, _guide(cdf)))
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     for i in range(n_chunks):
         size = min(_CHUNK, n - i * _CHUNK)
         gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, i)))
+        uniforms = [gen.random(size) for _ in tables]
         s = np.zeros(size)
-        for a, b, c in groups:
-            k = gen.binomial(c, a / (a + b), size=size)
-            s += k * (a + b) - c * a
+        for lo in range(0, size, _BLOCK):
+            for (values, cdf, guide), u in zip(tables, uniforms):
+                s[lo:lo + _BLOCK] += values[_inverse_cdf(cdf, guide, u[lo:lo + _BLOCK])]
         yield s
+
+
+def exact_tail(spec: SumSpec, x: float) -> float:
+    """Exact P(S >= x) for a sum with at most two distinct summand laws,
+    which covers every extremal_sum_spec: S = V1 + V2 with each V_g a
+    scaled binomial, its atoms formed in the sampler's floating-point
+    order.  Each tail of V2 is summed from its top end, so that tails
+    down to ~1e-300 keep their digits."""
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
+    groups = _grouped(spec)
+    if len(groups) > 2:
+        raise DomainError(f"exact_tail supports at most 2 distinct summand laws, got {len(groups)}")
+    laws = [(np.zeros(1), np.ones(1))] * (2 - len(groups)) + [_group_law(*g) for g in groups]
+    (v1, p1), (v2, p2) = laws
+    v1 = 0.0 + v1  # the sampler's first addition, onto s = 0
+    # j[i]: the first atom of V2 with v1[i] + v2[j] >= x; the rounded sum
+    # is monotone in j, so the guess from x - v1 is off by a step or two.
+    j = np.searchsorted(v2, x - v1)
+    while (down := (j > 0) & (v1 + v2[np.maximum(j - 1, 0)] >= x)).any():
+        j -= down
+    while (up := (j < len(v2)) & (v1 + v2[np.minimum(j, len(v2) - 1)] < x)).any():
+        j += up
+    tail2 = np.append(np.cumsum(p2[::-1])[::-1], 0.0)
+    return float(p1 @ tail2[j])
 
 
 def mc_tail(spec: SumSpec, x: float, n: int, seed: int) -> MCEstimate:

@@ -738,6 +738,36 @@ def test_bounds_are_scale_free(name, sigma, r, eps, xi):
         assert got is want
 
 
+def test_split_and_mixture_mgf_are_scale_free():
+    # alpha_x_split(sigma, y, x) and pu_exp(sigma, y, lam) depend on y/sigma,
+    # x/sigma and lam sigma only: the sigma = 1 digits hold across the whole
+    # double range, exactly where sigma is a power of two.
+    want = (alpha_x_split(BoundParams(1.0, 0.3, 0.5), 2.0),
+            pu_exp(BoundParams(1.0, 0.3, 0.5), 0.5))
+    assert want == (pytest.approx(0.56730, abs=5e-6), pytest.approx(1.13683, abs=5e-6))
+    sigmas = [10.0**e for e in range(-300, 301, 10)] + [2.0**e for e in range(-990, 991, 90)]
+    for s in sigmas:
+        params = BoundParams(s, 0.3 * s, 0.5)
+        got = (alpha_x_split(params, 2.0 * s), pu_exp(params, 0.5 / s))
+        if math.frexp(s)[0] == 0.5:
+            assert got == want, s
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
+
+
+def test_split_and_mixture_mgf_out_of_range_are_range_errors():
+    with pytest.raises(RangeError):  # y / sigma overflows
+        alpha_x_split(BoundParams(1e-300, 1e300, 0.5), 1.0)
+    with pytest.raises(RangeError):  # x / sigma overflows
+        alpha_x_split(BoundParams(1e-300, 1e-300, 0.5), 1e300)
+    with pytest.raises(RangeError):  # lam * sigma overflows
+        pu_exp(BoundParams(1e200, 1e200, 0.5), 1e200)
+    with pytest.raises(RangeError):  # y / sigma underflows
+        pu_exp(BoundParams(1e300, 1e-300, 0.5), 1.0)
+    with pytest.raises(RangeError):  # theta = eps sigma^2 / y^2 overflows
+        pu_exp(BoundParams(1.0, 1e-160, 0.5), 1.0)
+
+
 def test_comparison_laws_out_of_range_are_range_errors():
     # sigma^2 underflows at 1e-200 and overflows at 1e160.
     for sigma in (1e-200, 1e160):

@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from tailbound.oracle import _binom_pmf, _guide, _inverse_cdf
 from tailbound import (
     BoundParams,
     ConstructionError,
@@ -17,6 +20,7 @@ from tailbound import (
     TestFunction,
     TwoPointRV,
     enumerate_expectation,
+    exact_tail,
     extremal_sum_spec,
     extremal_two_point,
     hp_counterexample_gap,
@@ -149,7 +153,31 @@ def test_enumerate_matches_brute_force():
     assert enumerate_expectation(spec, f) == pytest.approx(ref, rel=1e-12)
 
 
+def _enumerate_by_concatenation(spec, f):
+    """E f(S) over the 2^n atoms of the whole sum, built by concatenation."""
+    values = np.zeros(1)
+    weights = np.ones(1)
+    for rv in spec.summands:
+        values = np.concatenate([values - rv.a, values + rv.b])
+        weights = np.concatenate([weights * rv.prob_neg, weights * rv.prob_pos])
+    return float(np.dot(weights, f(values)))
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_enumerate_meets_in_the_middle(n):
+    # The two halves' atoms give the whole sum's expectation: the same
+    # terms as the concatenation, rounded in another order.
+    spec = random_sum_spec(n, seed=1000 + n)
+    for f in (TestFunction.power_part(0.1 * n ** 0.5), TestFunction.exponential(0.8)):
+        assert enumerate_expectation(spec, f) == pytest.approx(
+            _enumerate_by_concatenation(spec, f), rel=1e-12, abs=0.0)
+
+
 def test_enumerate_size_cap():
+    # 24 summands (16.7M atoms) still run; 25 do not.
+    spec = SumSpec([TwoPointRV(1.0, 1.0)] * 24, 1.0)
+    assert enumerate_expectation(spec, TestFunction.exponential(1.0)) == pytest.approx(
+        (0.5 * (math.e + 1.0 / math.e)) ** 24, rel=1e-12)
     spec = SumSpec([TwoPointRV(1.0, 1.0)] * 25, 1.0)
     with pytest.raises(DomainError):
         enumerate_expectation(spec, TestFunction.exponential(1.0))
@@ -222,23 +250,18 @@ def test_mc_tail_sharding_invariance():
 
 
 def test_mc_tail_consistent_with_enumeration():
-    spec = random_sum_spec(8, seed=99)
+    # Two laws of random_sum_spec, four copies each: small enough to
+    # enumerate, and few enough laws for exact_tail.
+    laws = random_sum_spec(2, seed=99).summands
+    spec = SumSpec(laws * 4, 1.0)
     x = 0.4
     est = mc_tail(spec, x, 200_000, seed=2026)
-    exact = enumerate_expectation(
-        spec, TestFunction.exponential(1e-9))  # placeholder for mass check
-    # Exact tail by enumerating atoms directly.
-    values = np.zeros(1)
-    weights = np.ones(1)
-    for rv in spec.summands:
-        values = np.concatenate([values - rv.a, values + rv.b])
-        weights = np.concatenate([weights * rv.prob_neg,
-                                  weights * rv.prob_pos])
-    p_true = float(weights[values >= x].sum())
+    p_true = _enumerate_by_concatenation(spec, lambda s: (s >= x).astype(float))
     assert abs(est.p_hat - p_true) <= 5.0 * max(est.stderr, 1e-6)
     assert est.stderr == pytest.approx(
         math.sqrt(est.p_hat * (1.0 - est.p_hat) / est.n), rel=1e-12)
-    assert exact == pytest.approx(1.0, abs=1e-6)
+    assert exact_tail(spec, x) == pytest.approx(p_true, rel=1e-12)
+    assert exact_tail(spec, spec.support_min() - 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_mc_minimum_sample_size():
@@ -310,3 +333,121 @@ def test_comparison_inequality_random_specs():
             lhs = enumerate_expectation(spec, f)
             rhs = mixture_expectation_f(params, f)
             assert lhs <= rhs * (1.0 + 1e-6), (i, f)
+
+
+# (c, p) pairs of the sampler's tables: one trial, the symmetric laws of
+# extremal_sum_spec, a far-skewed law, a near-degenerate one and a wide one.
+_BINOMIALS = [(1, 0.3), (100, 0.5), (1600, 0.5), (1600, 2e-4), (50, 0.999), (5000, 0.37)]
+
+
+def _cdf(c, p):
+    cdf = np.cumsum(_binom_pmf(c, p, 1.0 - p))
+    return cdf / cdf[-1]
+
+
+@pytest.mark.parametrize("c,p", _BINOMIALS)
+def test_guided_draw_is_searchsorted(c, p):
+    cdf = _cdf(c, p)
+    assert cdf[-1] == 1.0
+    m = len(cdf)
+    gen = np.random.Generator(np.random.Philox(key=[1, c]))
+    # The atoms' own cdf values and the buckets' edges, each with its
+    # neighbours, where one rounding either way changes the draw.
+    edges = np.concatenate([cdf[:-1], np.arange(m + 1) / m])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = np.concatenate([gen.random(1 << 16), edges[edges < 1.0], [0.0, 1.0 - 2.0**-53]])
+    np.testing.assert_array_equal(_inverse_cdf(cdf, _guide(cdf), u),
+                                  np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("m", [6, 10, 13, 1000])
+def test_guided_draw_at_cdf_values_on_bucket_edges(m):
+    # cdf[k] = (k+1)/m puts every atom on a bucket edge.  For m = 6 the
+    # double just below 5/6 has floor(u m) = 5 after rounding, yet its draw
+    # is atom 4: a guide entry taken at 5/6 itself would start past it.
+    cdf = np.append(np.arange(1, m) / m, 1.0)
+    u = cdf[:-1]
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(np.nextafter(u, 0.0), 0.0)])
+    np.testing.assert_array_equal(_inverse_cdf(cdf, _guide(cdf), u),
+                                  np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("c,p", _BINOMIALS)
+def test_guided_draw_follows_the_binomial_law(c, p):
+    # Pearson's chi-square over 2^20 draws against scipy's pmf, with the
+    # cells of expected count below 5 pooled into their neighbours.
+    n = 1 << 20
+    cdf = _cdf(c, p)
+    gen = np.random.Generator(np.random.Philox(key=[2, c]))
+    counts = np.bincount(_inverse_cdf(cdf, _guide(cdf), gen.random(n)), minlength=c + 1)
+    expected = n * stats.binom.pmf(np.arange(c + 1), c, p)
+    obs_cells, exp_cells, o_acc, e_acc = [], [], 0.0, 0.0
+    for o, e in zip(counts, expected):
+        o_acc, e_acc = o_acc + o, e_acc + e
+        if e_acc >= 5.0:
+            obs_cells.append(o_acc)
+            exp_cells.append(e_acc)
+            o_acc = e_acc = 0.0
+    obs_cells[-1] += o_acc
+    exp_cells[-1] += e_acc
+    obs, exp = np.array(obs_cells), np.array(exp_cells)
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert stats.chi2.sf(chi2, len(obs) - 1) > 1e-4
+
+
+@pytest.mark.parametrize("c,p", _BINOMIALS)
+def test_binom_pmf_against_scipy(c, p):
+    k = np.arange(c + 1)
+    ref = stats.binom.pmf(k, c, p)
+    keep = ref > 1e-290
+    np.testing.assert_allclose(_binom_pmf(c, p, 1.0 - p)[keep], ref[keep], rtol=1e-10)
+
+
+@pytest.mark.parametrize("x", [1.0, 2.0, 3.0])
+def test_mc_tail_within_five_sd_of_exact_tail(x):
+    spec = extremal_sum_spec(BoundParams(1.0, 1.0, 0.1), 400)
+    exact = exact_tail(spec, x)
+    n = 1 << 20
+    est = mc_tail(spec, x, n, seed=31)
+    assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+
+def test_exact_tail_against_enumeration():
+    # Small two-law sums, and one-law sums, at points between atoms.
+    for seed in (3, 4, 5):
+        two = random_sum_spec(2, seed=seed).summands
+        for spec in (SumSpec(two[:1] * 3 + two[1:] * 6, 1.0), SumSpec(two[:1] * 9, 1.0)):
+            for x in np.linspace(spec.support_min() - 0.1, spec.support_max() + 0.1, 23):
+                want = enumerate_expectation(spec, lambda s: (s >= x).astype(float))
+                assert exact_tail(spec, x) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_exact_tail_keeps_digits_in_the_deep_tail():
+    # P(S >= x) summed exactly in mpmath over the same floating-point atoms:
+    # a one-law sum whose top atom has mass 0.6^1300 ~ 1e-288, and a
+    # two-law sum near its top.
+    spec = SumSpec([TwoPointRV(0.6, 0.4)] * 1300, 1.0)
+    q = mpmath.mpf(0.6) / (mpmath.mpf(0.6) + mpmath.mpf(0.4))
+    assert exact_tail(spec, spec.support_max() - 1e-9) == pytest.approx(
+        float(q ** 1300), rel=1e-11, abs=0.0)
+    laws = ((0.3, 1.0, 40), (0.05, 0.5, 40))
+    spec = SumSpec([TwoPointRV(a, b) for a, b, c in laws for _ in range(c)], 1.0)
+    with mpmath.workdps(40):
+        pmfs = []
+        for a, b, c in laws:
+            q = mpmath.mpf(a) / (mpmath.mpf(a) + mpmath.mpf(b))
+            values = np.arange(c + 1) * (a + b) - c * a
+            pmfs.append((values, [mpmath.binomial(c, k) * q**k * (1 - q) ** (c - k)
+                                  for k in range(c + 1)]))
+        (v1, p1), (v2, p2) = pmfs
+        for x in (30.0, 45.0, 55.5):
+            want = mpmath.fsum(p1[i] * p2[j] for i in range(len(v1)) for j in range(len(v2))
+                               if (0.0 + v1[i]) + v2[j] >= x)
+            assert exact_tail(spec, x) == pytest.approx(float(want), rel=1e-11, abs=0.0)
+
+
+def test_exact_tail_needs_at_most_two_laws():
+    with pytest.raises(DomainError):
+        exact_tail(random_sum_spec(3, seed=8), 0.0)
+    with pytest.raises(DomainError):
+        exact_tail(SumSpec([TwoPointRV(1.0, 1.0)], 1.0), math.nan)
