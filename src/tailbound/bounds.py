@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -606,10 +607,12 @@ def alpha_x_split(params: BoundParams, x: float) -> float:
 
     over a in (0, 1); positive at 0 and negative at 1, so Brent's method
     (:func:`tailbound.special._root_in_bracket`) finds it.  Scale-free: run
-    at sigma = 1.
+    at sigma = 1, where x^2 must be a normal double.
     """
     if not (x > 0.0):
         raise DomainError(f"x must be positive, got {x}")
+    if x * x < sys.float_info.min:
+        raise RangeError(f"(x / sigma)^2 = {x * x} leaves the normal double range")
     y, eps = params.y, params.eps
 
     def h(a: float) -> float:

@@ -40,9 +40,11 @@ __all__ = [
 
 _ENUM_MAX = 24
 _CHUNK = 1 << 18
-# Elements per block of a vectorized pass, so that a block's arrays stay
-# in cache: samples in the sampler, atoms in the enumeration.
-_BLOCK = 1 << 16
+# Elements per block of a vectorized pass (samples in the sampler, atoms
+# in the enumeration), so that a block's arrays stay in cache and are
+# recycled by the allocator: fresh chunk-sized temporaries cost a page
+# fault per 4 KiB on every call.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -273,24 +275,27 @@ def _group_law(a: float, b: float, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _guide(cdf: np.ndarray) -> np.ndarray:
-    """Guide table (Chen and Asau) of a cdf with m = len(cdf) atoms: entry
-    j is the draw of a point just below j/m, so that no u with floor(u m)
-    = j undercuts it even after rounding.  m + 1 entries: u m can round up
-    to m."""
-    m = len(cdf)
-    return np.searchsorted(cdf, np.arange(m + 1) / m * (1.0 - 1e-15), side="right")
+    """Guide table (after Chen and Asau) of a cdf ending in 1.0: m = 2^e >=
+    4 len(cdf) equal buckets [j/m, (j+1)/m), entry j the atom that every u
+    in bucket j draws, or -1 where a cdf value lies in (j/m, (j+1)/m], so
+    that the bucket may draw two atoms.  lo[j], the number of cdf values
+    <= j/m, is the draw at j/m; the last value, 1.0, is above every u.
+    cdf m is exact, so the edges carry no rounding."""
+    m = 1 << (4 * len(cdf) - 1).bit_length()
+    lo = np.cumsum(np.bincount(np.ceil(cdf[:-1] * m).astype(np.intp), minlength=m + 1))
+    return np.where(lo[1:] == lo[:-1], lo[:-1], -1)
 
 
-def _inverse_cdf(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(cdf, u, side="right"), the first k with cdf[k] > u, for
-    a cdf ending in 1.0 and u in [0, 1).  Starting from the guide entry of
-    u's bucket, one vectorized step up settles all but the few u whose
-    bucket spans several atoms, and those take the binary search.  Exact
-    on every sample."""
-    k = guide[(u * len(cdf)).astype(np.intp)]
-    k += cdf[k] <= u
-    idx = np.flatnonzero(cdf[k] <= u)
-    k[idx] = np.searchsorted(cdf, u[idx], side="right")
+def _inverse_cdf(cdf: np.ndarray, guide: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right"), the first k with cdf[k] > u,
+    for the uniforms u = (w >> 11) 2^-53 of 64-bit words w, which is how
+    numpy's random() forms a double from a word.  The top e bits of w are
+    floor(u 2^e), u's bucket; only the u in buckets marked -1 take the
+    binary search.  Exact on every sample."""
+    shift = np.uint64(65 - len(guide).bit_length())
+    k = guide[(words >> shift).view(np.int64)]
+    idx = np.flatnonzero(k < 0)
+    k[idx] = np.searchsorted(cdf, (words[idx] >> np.uint64(11)) * 2.0**-53, side="right")
     return k
 
 
@@ -303,8 +308,8 @@ def _sample_chunks(spec: SumSpec, n: int, seed: int):
     (dividing by its last entry makes that entry exactly 1.0).  Each chunk
     gets its own counter-based generator keyed by (seed, chunk index),
     making the stream independent of how chunks are scheduled; group g of
-    a chunk takes the g-th run of ``size`` uniforms of its stream.  The
-    draws are made _BLOCK samples at a time.
+    a chunk takes the g-th run of ``size`` words of its stream, _BLOCK at
+    a time, so that no array but the chunk's own outgrows a block.
     """
     tables = []
     for a, b, c in _grouped(spec):
@@ -315,12 +320,12 @@ def _sample_chunks(spec: SumSpec, n: int, seed: int):
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     for i in range(n_chunks):
         size = min(_CHUNK, n - i * _CHUNK)
-        gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, i)))
-        uniforms = [gen.random(size) for _ in tables]
+        bitgen = np.random.Philox(key=_philox_key(seed, i))
         s = np.zeros(size)
-        for lo in range(0, size, _BLOCK):
-            for (values, cdf, guide), u in zip(tables, uniforms):
-                s[lo:lo + _BLOCK] += values[_inverse_cdf(cdf, guide, u[lo:lo + _BLOCK])]
+        for values, cdf, guide in tables:
+            for lo in range(0, size, _BLOCK):
+                hi = min(lo + _BLOCK, size)
+                s[lo:hi] += values[_inverse_cdf(cdf, guide, bitgen.random_raw(hi - lo))]
         yield s
 
 
@@ -370,9 +375,10 @@ def mc_expectation(spec: SumSpec, f: TestFunction, n: int,
     total = 0.0
     total_sq = 0.0
     for s in _sample_chunks(spec, n, seed):
-        fs = f(s)
-        total += float(fs.sum())
-        total_sq += float(np.dot(fs, fs))
+        for lo in range(0, len(s), _BLOCK):
+            fs = f(s[lo:lo + _BLOCK])
+            total += float(fs.sum())
+            total_sq += float(np.dot(fs, fs))
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)

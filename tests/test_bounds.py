@@ -760,6 +760,9 @@ def test_split_and_mixture_mgf_out_of_range_are_range_errors():
         alpha_x_split(BoundParams(1e-300, 1e300, 0.5), 1.0)
     with pytest.raises(RangeError):  # x / sigma overflows
         alpha_x_split(BoundParams(1e-300, 1e-300, 0.5), 1e300)
+    for x in (1e-158, 1e-200):  # (x / sigma)^2 is subnormal or 0
+        with pytest.raises(RangeError):
+            alpha_x_split(P_HALF, x)
     with pytest.raises(RangeError):  # lam * sigma overflows
         pu_exp(BoundParams(1e200, 1e200, 0.5), 1e200)
     with pytest.raises(RangeError):  # y / sigma underflows

@@ -345,30 +345,53 @@ def _cdf(c, p):
     return cdf / cdf[-1]
 
 
+def _near_grid(x):
+    """The points of the 2^-53 grid of uniforms in [0, 1) at and next to x."""
+    g = np.floor(np.asarray(x) * 2.0**53)
+    u = np.concatenate([g - 1.0, g, g + 1.0]) * 2.0**-53
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _words(u, gen):
+    """64-bit words whose uniforms (w >> 11) 2^-53 are u, with random low
+    bits, which the uniform drops."""
+    low = gen.integers(0, 1 << 11, len(u), dtype=np.uint64)
+    return ((u * 2.0**53).astype(np.uint64) << np.uint64(11)) | low
+
+
+def test_words_give_numpys_uniforms():
+    # The sampler's uniforms are numpy's random() of the same Philox words.
+    words = np.random.Philox(key=[3, 4]).random_raw(5000)
+    u = np.random.Generator(np.random.Philox(key=[3, 4])).random(5000)
+    np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, u)
+
+
 @pytest.mark.parametrize("c,p", _BINOMIALS)
 def test_guided_draw_is_searchsorted(c, p):
     cdf = _cdf(c, p)
     assert cdf[-1] == 1.0
-    m = len(cdf)
+    guide = _guide(cdf)
+    m = len(guide)
     gen = np.random.Generator(np.random.Philox(key=[1, c]))
-    # The atoms' own cdf values and the buckets' edges, each with its
-    # neighbours, where one rounding either way changes the draw.
-    edges = np.concatenate([cdf[:-1], np.arange(m + 1) / m])
-    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    u = np.concatenate([gen.random(1 << 16), edges[edges < 1.0], [0.0, 1.0 - 2.0**-53]])
-    np.testing.assert_array_equal(_inverse_cdf(cdf, _guide(cdf), u),
+    # Next to the atoms' cdf values and the buckets' edges, one step of the
+    # grid changes the draw or the bucket.
+    edges = _near_grid(np.concatenate([cdf[:-1], np.arange(m + 1) / m]))
+    u = np.concatenate([gen.random(1 << 16), edges, [0.0, 1.0 - 2.0**-53]])
+    np.testing.assert_array_equal(_inverse_cdf(cdf, guide, _words(u, gen)),
                                   np.searchsorted(cdf, u, side="right"))
 
 
-@pytest.mark.parametrize("m", [6, 10, 13, 1000])
-def test_guided_draw_at_cdf_values_on_bucket_edges(m):
-    # cdf[k] = (k+1)/m puts every atom on a bucket edge.  For m = 6 the
-    # double just below 5/6 has floor(u m) = 5 after rounding, yet its draw
-    # is atom 4: a guide entry taken at 5/6 itself would start past it.
-    cdf = np.append(np.arange(1, m) / m, 1.0)
-    u = cdf[:-1]
-    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(np.nextafter(u, 0.0), 0.0)])
-    np.testing.assert_array_equal(_inverse_cdf(cdf, _guide(cdf), u),
+@pytest.mark.parametrize("offset", [0.0, -2.0**-53, 2.0**-53])
+def test_guided_draw_with_cdf_values_on_bucket_edges(offset):
+    # 16 atoms, so 64 buckets; cdf[k] = (k+1)/16 sits on the edge 4(k+1)/64,
+    # or one grid step below or above it, and in each case the buckets on
+    # either side of the value must draw either side of it.
+    cdf = np.append(np.arange(1, 16) / 16 + offset, 1.0)
+    guide = _guide(cdf)
+    assert len(guide) == 64
+    gen = np.random.Generator(np.random.Philox(key=[5, 6]))
+    u = _near_grid(np.concatenate([cdf[:-1], np.arange(65) / 64]))
+    np.testing.assert_array_equal(_inverse_cdf(cdf, guide, _words(u, gen)),
                                   np.searchsorted(cdf, u, side="right"))
 
 
@@ -378,8 +401,8 @@ def test_guided_draw_follows_the_binomial_law(c, p):
     # cells of expected count below 5 pooled into their neighbours.
     n = 1 << 20
     cdf = _cdf(c, p)
-    gen = np.random.Generator(np.random.Philox(key=[2, c]))
-    counts = np.bincount(_inverse_cdf(cdf, _guide(cdf), gen.random(n)), minlength=c + 1)
+    words = np.random.Philox(key=[2, c]).random_raw(n)
+    counts = np.bincount(_inverse_cdf(cdf, _guide(cdf), words), minlength=c + 1)
     expected = n * stats.binom.pmf(np.arange(c + 1), c, p)
     obs_cells, exp_cells, o_acc, e_acc = [], [], 0.0, 0.0
     for o, e in zip(counts, expected):
