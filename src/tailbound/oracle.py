@@ -193,11 +193,12 @@ def extremal_sum_spec(params: BoundParams, m: int) -> SumSpec:
     b = _root_in_bracket(g, 0.0, params.sigma, rtol=1e-15)
     a = (s2 - b * b) / y
     sm = b / math.sqrt(m)
-    summands = [TwoPointRV(sm, sm)] * m + [TwoPointRV(a / m, y)] * m
-    spec = SumSpec(summands, y)
-    if abs(spec.sigma2() - s2) > 1e-8 * s2 or abs(spec.beta() - target) > 1e-8 * target:
+    laws = (TwoPointRV(sm, sm), TwoPointRV(a / m, y))
+    # The aggregates of m copies of each law, without a pass over all 2m.
+    if abs(m * sum(rv.second_moment for rv in laws) - s2) > 1e-8 * s2 or \
+       abs(m * sum(rv.pos_third_moment for rv in laws) - target) > 1e-8 * target:
         raise NumericalError(f"aggregate budgets violated at m = {m}")
-    return spec
+    return SumSpec([laws[0]] * m + [laws[1]] * m, y)
 
 
 def _atoms(summands) -> tuple[np.ndarray, np.ndarray]:
