@@ -5,12 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import _oracles as oracles
-from tailbound.oracle import _binom_pmf, _guide, _inverse_cdf
 from tailbound import (
     BoundParams,
     ConstructionError,
@@ -30,6 +29,7 @@ from tailbound import (
     pu_exp,
     random_sum_spec,
 )
+from tailbound.oracle import _binom_pmf, _guide, _inverse_cdf
 
 # A library class, not a test case, despite the name.
 TestFunction.__test__ = False
