@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple
 
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
-from .posmoments import (_SQRT_2PI, PosMomentMethod, _gauss_partial_triple, _mills_moments,
-                         _pos_moment_triple, _route, pos_moment)
+from .posmoments import (_SQRT_2PI, PosMomentMethod, _mills_ratios, _pos_moment_walk, _route,
+                         pos_moment)
 from .special import (_ABS_TOL, _MAX_ITER, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
                       bennett_psi, exp_remainder, lambert_w0_log, poisson_log_tail)
 
@@ -237,7 +237,7 @@ def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
 
 def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
     """m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1}, from one fused
-    moment walk (:func:`tailbound.posmoments._pos_moment_triple`).
+    moment walk (:func:`tailbound.posmoments._pos_moment_walk`).
 
     Strictly increasing in t up to the point where it saturates at the
     supremum of the support; the inverse of t |-> m(t) is what
@@ -245,7 +245,7 @@ def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
     """
     if not (alpha > 1.0):
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    num, den, _ = _pos_moment_triple(rv, t, alpha)
+    num, den = _pos_moment_walk(rv, t, alpha)[:2]
     if den <= _ABS_TOL:
         raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
     return t + num / den
@@ -264,17 +264,28 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> float:
 
 def _solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float,
                x: float) -> tuple[float, float, float]:
-    """(t_x, E(eta-t_x)_+^alpha, E(eta-t_x)_+^{alpha-1}), the moments from
-    the solve's last walk.
+    """(t_x, N_alpha, N_{alpha-1}) with N_p = E(eta-t_x)_+^p, the moments
+    of the solve's last walk or of its finish from there.
 
-    Each step makes one fused walk, (N_a, N_{a-1}, N_{a-2}) at t with
-    N_p = E(eta-t)_+^p, which gives m(t) and m'(t) = 1 - a + (a-1) N_a
-    N_{a-2} / N_{a-1}^2, and takes a Newton step on m(t) = x.  For
-    1 < alpha < 2, where a - 2 < 0, the slope is the secant through the last
-    two points (1 at the first: 0 < m' <= 1 for log-concave laws).  On the
-    Poisson lattice (v = 0) at alpha = 2, h(t) = N_2 - (x-t) N_1 is linear in
-    t within one lattice cell, so the step that zeroes it is taken instead
-    whenever it stays in the cell: it lands on the root.
+    Each step makes one fused walk, (N_a, N_{a-1}, N_{a-2}) at t, which
+    gives m(t) and m'(t) = 1 - a + (a-1) N_a N_{a-2} / N_{a-1}^2, and takes
+    a Newton step on m(t) = x; each walk's peak search starts from the
+    previous walk's peak (the count below it where t fell), since the
+    peak moves up with t.  For 1 < alpha < 2, where a - 2 < 0, the slope is
+    the secant through the last two points (1 at the first: 0 < m' <= 1
+    for log-concave laws).
+
+    Two laws can end a solve without walking to its last point.  On the
+    Poisson lattice (v = 0) at alpha = 2, h(t) = N_2 - (x-t) N_1 is linear
+    in t within one lattice cell, so the step that zeroes it is taken
+    instead whenever it stays in the cell: it lands on the root, and where
+    it lands strictly inside the cell the moments there are the walk's
+    polynomials in the step, N_2 - 2 N_1 d + N_0 d^2 and N_1 - N_0 d,
+    exactly; the solve ends there unless the first cancels by more than
+    16.  At alpha = 3 on a mixture with v > 0,
+    :func:`_cubic_finish` solves m = x on the walk's Taylor model and ends
+    there once the model's certified remainder is below the solve's
+    tolerance.
 
     The seed is the Gaussian limit of the same variance (:func:`_gauss_seed`).
     Every point narrows a sign bracket [lo, hi] of m - x, whose right end
@@ -301,10 +312,12 @@ def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
     x_tol = 1e-12 * max(1.0, abs(x), sd)
     lo, hi = -math.inf, x - 1e-12 * max(1.0, abs(x))
     hi_seen = False
-    lattice2 = alpha == 2.0 and isinstance(rv, MixtureRV) and rv.v == 0.0
-    t, t_prev, g_prev = min(t, hi), math.nan, math.nan
+    mixture = isinstance(rv, MixtureRV)
+    lattice2 = alpha == 2.0 and mixture and rv.v == 0.0
+    cubic = alpha == 3.0 and mixture and rv.v > 0.0
+    t, t_prev, g_prev, start = min(t, hi), math.nan, math.nan, -1
     for _ in range(_MAX_ITER):
-        n_a, n_b, n_c = _pos_moment_triple(rv, t, alpha)
+        n_a, n_b, n_c, n_d, peak, z_max = _pos_moment_walk(rv, t, alpha, start)
         if n_b <= _ABS_TOL:
             raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
         g = t + n_a / n_b - x
@@ -331,6 +344,15 @@ def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
             edge = rv.y * (math.floor(t / rv.y + rv.theta) - rv.theta)
             if edge - tol <= t_cell <= edge + rv.y + tol:
                 step, in_cell = t_cell - t, True
+                n2, d = n_a - step * (2.0 * n_b - step * n_c), abs(step)
+                # Its terms cancel by their sum over n2: at most 16 keeps the
+                # walk's digits to a few units of 2^-53.
+                if edge < t_cell < edge + rv.y and n_a + d * (2.0 * n_b + d * n_c) <= 16.0 * n2:
+                    return t_cell, n2, n_b - step * n_c
+        if cubic and step == step:
+            done = _cubic_finish(x, t, (n_a, n_b, n_c, n_d), z_max, math.sqrt(rv.v), step, tol)
+            if done is not None and lo < done[0] < hi:
+                return done
         if abs(step) <= tol or hi - lo <= 2.0 * tol:
             return t, n_a, n_b
         t_prev, g_prev, t_new = t, g, t + step
@@ -340,8 +362,58 @@ def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
                 raise NumericalError("left bracket for t_x not found")
         if not (lo < t_new < hi):
             t_new = 0.5 * (lo + hi) if hi_seen else hi
-        t = t_new
+        # The peak moves with t, one way: a search from the count below it
+        # when t falls finds a peak that fell by one in three slices.
+        t, start = t_new, peak - 1 if t_new < t else peak
     raise NumericalError(f"t_x solve did not converge in {_MAX_ITER} steps", estimate=t)
+
+
+def _cubic_finish(x: float, t: float, moments: tuple[float, float, float, float],
+                  z_max: float, s: float, step: float,
+                  tol: float) -> tuple[float, float, float] | None:
+    """(t + d, N_3, N_2) at the root t + d of m = x, from the moments (N_3,
+    N_2, N_1, N_0) of a walk at t on a mixture with Gaussian part s^2 > 0,
+    without walking there; None where the remainder is too large.
+
+    By Taylor, N_3(t+d) = N_3 - 3 N_2 d + 3 N_1 d^2 - N_0 d^3 + R_3 and
+    N_2(t+d) = N_2 - 2 N_1 d + N_0 d^2 + R_2, with 0 <= R_3 <= d^4 f/4
+    and |R_2| <= |d|^3 f/3 (on either side of t), f the largest density of
+    eta on the step.  Each count's Gaussian density is at most its hazard
+    max(2.52, z + 1) (Gordon's inequality) times its tail, and a shift by
+    d multiplies it by at most e^{|z d|/s}; the walk gives |z| <= z_max
+    over its counts and N_0 = P(eta > t), so f <= max(2.52, z_max + 1)
+    e^{z_max |d|/s} N_0 / s (the terms past the walk's certified stop add
+    1e-18 of N_0).  Newton steps on the model, from the walk's own step,
+    find d; the finish holds once the bound on R_3 is below 2^-54 of the
+    model's N_3 and that on R_2 below 2^-40 of its N_2, the solve's own
+    tolerance.  N_3 comes back plus its bound, so the ratio stays an upper
+    bound.
+    """
+    n3, n2, n1, n0 = moments
+    hazard, d = max(2.52, z_max + 1.0) * n0 / s, step
+    if step ** 4 * hazard > 2.0**-52 * n3:
+        return None
+    for _ in range(8):
+        p1 = n1 - d * n0
+        p2 = n2 - d * (2.0 * n1 - d * n0)
+        p3 = n3 - d * (3.0 * n2 - d * (3.0 * n1 - d * n0))
+        move = -(t + d + p3 / p2 - x) / (2.0 * (p3 / p2) * (p1 / p2) - 2.0)
+        d += move
+        if abs(move) <= tol:
+            break
+    else:
+        return None
+    # The model at the double t + d: its rounding moves N_3 by 3 N_2 ulp(t),
+    # which is many ulp of N_3 where x - t << |t|.
+    t_new = t + d
+    d = t_new - t
+    p2 = n2 - d * (2.0 * n1 - d * n0)
+    p3 = n3 - d * (3.0 * n2 - d * (3.0 * n1 - d * n0))
+    f_bar = hazard * math.exp(z_max * abs(d) / s)
+    r3, r2 = d**4 * f_bar / 4.0, abs(d) ** 3 * f_bar / 3.0
+    if not (p2 > 0.0 and r3 <= 2.0**-54 * p3 and r2 <= 2.0**-40 * p2):
+        return None
+    return t_new, p3 + r3, p2
 
 
 def _gauss_seed(alpha: float, x: float, sd: float) -> float:
@@ -471,7 +543,7 @@ def plc_poisson_tail(theta: float, u: float) -> float:
 def _log_normal_tail(z: float) -> float:
     """log P(Z >= z); past 37, where erfc underflows, phi(z) J_0(z)."""
     return (math.log(0.5 * math.erfc(z / _SQRT2)) if z < 37.0
-            else math.log(_mills_moments(z, 0)[0] / _SQRT_2PI) - 0.5 * z * z)
+            else math.log(_mills_ratios(z)[3] / _SQRT_2PI) - 0.5 * z * z)
 
 
 def _log_normal_mass(a: float, b: float) -> float:
@@ -572,11 +644,11 @@ def ea(x: float) -> float:
     stationary where m(t) = t + E(Z-t)_+^3 / E(Z-t)_+^2 equals x.  m
     increases from m(0) = 4 phi(0), so for x <= 4 phi(0) the infimum is the
     t -> 0 limit 4 phi(0) / x^3; otherwise Brent's method solves m(t) = x on
-    [0, x (1 - 1e-12)].  Past t = 2, where the closed-form moments start to
-    cancel, E(Z-t)_+^n = phi(t) J_n(t) from
-    :func:`tailbound.posmoments._mills_moments`, and phi(t) cancels from m.
-    Each m(t) reads E_3 and E_2 off one call.  From x = 40 on the value at
-    t = x - 1, below 12 phi(39) / 39^4, underflows, so the bound is 0.
+    [0, x (1 - 1e-12)].  E(Z-t)_+^n = phi(t) J_n(t) from the deep-slice
+    kernel :func:`tailbound.posmoments._mills_ratios` (the closed forms
+    cancel for t > 0), so m(t) = t + J_3/J_2 = t + r_3, one kernel call.
+    From x = 40 on the value at t = x - 1, below 12 phi(39) / 39^4,
+    underflows, so the bound is 0.
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be finite and positive, got {x}")
@@ -585,13 +657,10 @@ def ea(x: float) -> float:
     if x >= 40.0:
         return 0.0
 
-    def m_minus_x(t: float) -> float:
-        e3, e2 = _mills_moments(t, 3, 2) if t > 2.0 else _gauss_partial_triple(1.0, 1.0, -t, 3)[:2]
-        return t + e3 / e2 - x
-
-    t = _root_in_bracket(m_minus_x, 0.0, x * (1.0 - 1e-12), rtol=1e-12)
-    e3 = (math.exp(-0.5 * t * t) / _SQRT_2PI * _mills_moments(t, 3)[0] if t > 2.0
-          else _gauss_partial_triple(1.0, 1.0, -t, 3)[0])
+    t = _root_in_bracket(lambda t: t + _mills_ratios(t)[0] - x, 0.0, x * (1.0 - 1e-12),
+                         rtol=1e-12)
+    r3, r2, r1, j0 = _mills_ratios(t)
+    e3 = math.exp(-0.5 * t * t) / _SQRT_2PI * j0 * r1 * r2 * r3
     return min(1.0, 2.0 * e3 / (x - t) ** 3)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .special import _poisson_log_sums, exp_remainder, normal_tail, poisson_tail
+from .special import _poisson_log_sums, _times_pmf, exp_remainder, normal_tail, poisson_tail
 
 __all__ = [
     "BoundParams",
@@ -178,8 +178,8 @@ def mixture_tail(rv: MixtureRV, x: float) -> float:
 
     def tail(mu: float) -> float:
         return 0.5 * math.erfc((x - mu) / c)  # normal_tail(v, x - mu), unchecked
-    return min(1.0, math.exp(_poisson_log_sums(rv.theta, rv.y, tail,
-                                               lambda mu: ((q := tail(mu)), q, q))[0]))
+    return min(1.0, _times_pmf(*_poisson_log_sums(rv.theta, rv.y, tail,
+                                                  lambda mu: ((q := tail(mu)), q, q, q))[:2]))
 
 
 def _logsumexp2(l1: float, l2: float) -> float:

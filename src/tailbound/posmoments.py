@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .distributions import MixtureRV, TwoPointRV, mixture_mgf
 from .errors import DomainError, NumericalError, RangeError
 # Not called here: benchmark/tracing.py wraps normal_tail under this name.
-from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sums  # noqa: F401
+from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sums, _times_pmf  # noqa: F401
 
 __all__ = [
     "PosMomentMethod",
@@ -112,26 +112,96 @@ def _gauss_power_moment(v: float, mu: float, p: float) -> float:
     return v ** (0.5 * p) * math.exp(-0.5 * z0 * z0) / _SQRT_2PI * _mills_power(z0, p)
 
 
-def _mills_moments(z: float, n: int, count: int = 1) -> tuple[float, ...]:
-    """(J_n(z), J_{n-1}(z), ..., J_{n-count+1}(z)) for n <= 3 and count <=
-    n + 1, J_m(z) = Int_0^inf u^m exp(-z u - u^2/2) du, so E(Z - z)_+^m =
-    phi(z) J_m(z), from one run of the continued fraction r_m = J_m/J_{m-1}
-    = m/(z + r_{m+1}) (by parts; z J_0 + J_1 = 1) backward from depth
-    10 + 800/z^2.  That agrees with 50-digit mpmath within 5e-13 for 5 <= z
-    < 38.  The ratios do not depend on n, so the loop stops above order 3
-    and the last three steps are written out: J_0 = 1/(z + r_1) and J_m =
-    r_m ... r_1 J_0, each product taken from r_m down, the generic loop's
-    operations in its order."""
-    if not 0 <= n <= 3:
-        raise DomainError(f"_mills_moments takes orders 0 to 3, got {n}")
-    rho = 0.0
-    for m in range(10 + int(800.0 / (z * z)), 3, -1):
-        rho = m / (z + rho)
-    r3 = 3 / (z + rho)
-    r2 = 2 / (z + r3)
-    r1 = 1 / (z + r2)
-    d = z + r1
-    return (r3 * r2 * r1 / d, r2 * r1 / d, r1 / d, 1.0 / d)[3 - n:3 - n + count]
+# rho_4(z) = J_4(z) / J_3(z) on [0, 25), by piece: the pieces [0, 1), [1, 2),
+# ..., [4, 5), [5, 7), [7, 9), [9, 12), [12, 16) and [16, 25), each as its
+# centre c and the coefficients, highest power first, of a polynomial in
+# z - c of degree 10 to 14.  They are Chebyshev interpolants of 40-digit
+# mpmath.pcfd values, generated by tests/_oracles.py (mills_rho4_fit), where
+# the fit's error and its provenance are checked.
+_MILLS_RHO4 = (
+    (0.5, (8.294165996778681e-10, 1.6790853327892573e-09, -3.0105934794099685e-08,
+         6.876399106649637e-08, 5.814443735405464e-07, -4.3094138523973944e-06,
+         -5.516788296650123e-07, 0.00014222361215152356, -0.0005727753295922367,
+         -0.003635524934530187, 0.06004858957594247, -0.40326346275426905,
+         1.6629131023770345)),
+    (1.5, (-3.4256948651118905e-10, 1.6138021812616437e-09, 1.7628741800771916e-09,
+         -6.481126530441049e-08, 3.4054002201033447e-07, 1.6662455362501856e-07,
+         -1.3678160928296852e-05, 8.332078386462135e-05, 2.3160946897699463e-05,
+         -0.004631100095146247, 0.04704636681779031, -0.2956813209392308,
+         1.3156279139914742)),
+    (2.5, (-4.262929231746734e-10, 4.176794326039653e-09, -1.6702472180746922e-08,
+         -3.8249362262340527e-08, 1.0653117441057604e-06, -7.589986821937783e-06,
+         1.6594767390682958e-05, 0.000256839625100141, -0.003958947556068859,
+         0.0339309150335324, -0.21505137005992583, 1.0624551087405079)),
+    (3.5, (5.022784501521281e-10, 3.775672039444293e-09, -6.762501049465636e-08,
+         5.217827752303767e-07, -1.924759421150577e-06, -9.96405403370016e-06,
+         0.0002592038093041083, -0.002883269562215585, 0.02366807166700625,
+         -0.15799455232257248, 0.8776425646722633)),
+    (4.5, (-2.5051781785554997e-10, 3.5362241263049284e-09, -2.8983232410109074e-08,
+         1.3926744158521222e-07, 2.0380192406410912e-07, -1.3791506221699769e-05,
+         0.00019458700502820132, -0.001969753469575176, 0.016454191445599658,
+         -0.11832962166008565, 0.7406805878160767)),
+    (6.0, (-5.661695448473326e-13, 9.238484665805135e-12, -9.614645478990942e-11,
+         7.301410747728299e-10, -3.2011751381671114e-09, -1.5522383665453483e-08,
+         5.894665670732044e-07, -9.063395270220752e-06, 0.00010700543104104668,
+         -0.001083555879480416, 0.009782091739003554, -0.07996790788413571,
+         0.5944446152522457)),
+    (8.0, (1.058182707868106e-12, -6.85517624221224e-12, 1.3692152116028543e-12,
+         8.407466436889585e-10, -1.8337719036402768e-08, 2.862561622265145e-07,
+         -3.8129483139279565e-06, 4.578037789670746e-05, -0.0005073862261026857,
+         0.005251599070814816, -0.0510388834512563, 0.4664259891493494)),
+    (10.5, (-3.571905783555972e-15, -2.4163918751787045e-15, 7.693657474868349e-13,
+         -1.913113707433574e-11, 3.5995463616811355e-10, -5.924179143322975e-09,
+         8.947035587608752e-08, -1.2676918282008905e-06, 1.705080741836533e-05,
+         -0.0002191745646360528, 0.0027028029007740077, -0.03203747723894247,
+         0.3651992415907254)),
+    (14.0, (3.548269422799119e-16, -8.536228104806417e-15, 1.7630916809538786e-13,
+         -3.4384206598466382e-12, 6.359926608656379e-11, -1.1281045610366967e-09,
+         1.9328045750001886e-08, -3.213015667952199e-07, 5.197548048727611e-06,
+         -8.197468804229657e-05, 0.0012620496651957274, -0.018978539174591115,
+         0.27880632115083887)),
+    (20.5, (1.987198202090307e-20, -5.165749711176483e-19, 1.1517840684824929e-17,
+         -2.812719337348684e-16, 6.779006592175003e-15, -1.595704935374999e-13,
+         3.696447762346749e-12, -8.440934901817032e-11, 1.901648728368509e-09,
+         -4.2298350723312375e-08, 9.294136530374859e-07, -2.0181658746013256e-05,
+         0.00043319033256390205, -0.009192539015729112, 0.19285916121558502)),
+)
+_MILLS_EDGES = (0, 1, 2, 3, 4, 5, 7, 9, 12, 16, 25)
+# The piece of each integer part of z, from 0 to 24.
+_MILLS_PIECE = tuple(piece for a, b, piece in zip(_MILLS_EDGES, _MILLS_EDGES[1:], _MILLS_RHO4)
+                     for _ in range(a, b))
+
+
+def _mills_ratios(z: float) -> tuple[float, float, float, float]:
+    """(r_3, r_2, r_1, J_0) at z >= 0, the deep-slice kernel: J_m(z) =
+    Int_0^inf u^m exp(-z u - u^2/2) du, so E(Z - z)_+^m = phi(z) J_m(z), and
+    r_m = J_m/J_{m-1}, so J_m = r_m ... r_1 J_0.
+
+    The ratios satisfy r_m = m/(z + r_{m+1}) (by parts; z J_0 + J_1 = 1).
+    r_4 comes from the piecewise polynomial _MILLS_RHO4 on [0, 25) and, past
+    25, from the continued fraction run backward from depth 10 + 800/z^2
+    (at most 11 there).  Three steps written out follow, r_3 = 3/(z + r_4),
+    r_2 = 2/(z + r_3), r_1 = 1/(z + r_2), and J_0 = 1/(z + r_1); for z >= 0
+    nothing cancels.  Each step scales the relative error of the ratio it
+    starts from by r/(z + r) <= 1, so the fit, within 3e-17 (z + r_4) of
+    r_4, leaves only the steps' rounding: against 40-digit mpmath every J_m
+    formed from them is within 2e-15 (5.3e-16 seen) on [0, 38].
+    """
+    if 0.0 <= z < 25.0:
+        c, coeffs = _MILLS_PIECE[int(z)]
+        u, rho = z - c, 0.0
+        for a in coeffs:
+            rho = rho * u + a
+    elif z >= 25.0:
+        rho = 0.0
+        for m in range(10 + int(800.0 / (z * z)), 3, -1):
+            rho = m / (z + rho)
+    else:
+        raise DomainError(f"the deep-slice kernel takes z >= 0, got {z}")
+    r3 = 3.0 / (z + rho)
+    r2 = 2.0 / (z + r3)
+    r1 = 1.0 / (z + r2)
+    return r3, r2, r1, 1.0 / (z + r1)
 
 
 def _mills_power(z: float, p: float) -> float:
@@ -153,7 +223,7 @@ def _mills_power(z: float, p: float) -> float:
       the next regime runs.
     - otherwise J_p(0) = sum_n z^n/n! J_{p+n}(z) (Taylor in z; all terms
       positive), with the ratios J_{p+n}/J_{p+n-1} from the continued
-      fraction of :func:`_mills_moments`: one backward loop sums the
+      fraction of :func:`_mills_ratios`: one backward loop sums the
       Horner form h, and J_p(z) = J_p(0)/h.  Its depth,
       12 z + 40 + 1.5 p + 500/z^2, is at least 1.3 times the depth at which
       the loop settles to 1e-15, for every p <= 8 and z in this regime.
@@ -205,11 +275,11 @@ def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: float) -> float:
 
     Each count k contributes pmf(k) * E(sqrt(v) Z + y(k - theta) - w)_+^alpha,
     the Gaussian slice: closed forms for alpha in {1, 2, 3}
-    (:func:`_gauss_partial_triple`), :func:`_gauss_power_moment` otherwise.
+    (:func:`_gauss_partial_moments`), :func:`_gauss_power_moment` otherwise.
     The slice (the top slice of :func:`_slices`) is log-concave in k for
     every alpha > 0 (Prekopa), so the Poisson-count walk
     :func:`tailbound.special._poisson_log_sums` sums the series outward from
-    its peak with a certified stop, as its one-power case: the slice three
+    its peak with a certified stop, as its one-power case: the slice four
     times over.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
@@ -219,15 +289,16 @@ def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: float) -> float:
     top = _slices(rv, w, alpha)[0]
     if rv.theta == 0.0:
         return top(0.0)
-    return math.exp(_poisson_log_sums(rv.theta, rv.y, top, lambda mu: ((e := top(mu)), e, e))[0])
+    return _times_pmf(*_poisson_log_sums(rv.theta, rv.y, top,
+                                         lambda mu: ((e := top(mu)), e, e, e))[:2])
 
 
-def _gauss_partial_triple(v: float, s: float, mu: float,
-                          alpha: int) -> tuple[float, float, float]:
-    """(E_alpha, E_{alpha-1}, E_{alpha-2}) for E_p = E(sqrt(v) Z + mu)_+^p,
-    s = sqrt(v), Z standard normal and alpha in {1, 2, 3}; for alpha = 1 the
-    last entry is E_0 again.  :func:`_gauss_power_moment` takes every other
-    power.
+def _gauss_partial_moments(v: float, s: float, mu: float,
+                           alpha: int) -> tuple[float, float, float, float]:
+    """(E_alpha, E_{alpha-1}, E_{alpha-2}, E_{alpha-3}) for E_p = E(sqrt(v) Z
+    + mu)_+^p, s = sqrt(v), Z standard normal and alpha in {1, 2, 3}, with
+    E_0 in place of each negative power.  :func:`_gauss_power_moment` takes
+    every other power.
 
     With z0 = -mu / s, Q = P(Z >= z0) = E_0 and phi the standard normal
     density at z0, from one erfc and one exp:
@@ -237,63 +308,77 @@ def _gauss_partial_triple(v: float, s: float, mu: float,
         E_3 = mu (3v + mu^2) Q + s (2v + mu^2) phi
 
     The coefficients follow from the recursions for truncated normal
-    moments and are pinned against a quadrature oracle in the tests.  Past
-    z0 = 5 the two terms nearly cancel (at alpha = 3 the relative error of
-    the closed form is 1e-10 at z0 = 8.4 and 4e-9 at z0 = 12.6), so there
-    E_p = s^p phi J_p(z0) from one :func:`_mills_moments` run.  At v = 0
-    the slices are the powers of mu_+, with E_0 = 1{mu > 0}.
+    moments and are pinned against a quadrature oracle in the tests.  For
+    z0 > 0 the two terms cancel: against 40-digit mpmath, E_3 is 2e-14 off
+    at z0 = 1.5, 1.2e-13 at 2.3, 5.3e-13 at 3 and 1.3e-11 at 4.9.  So there
+    the deep slices are E_p = s^p phi J_p(z0) from one run of the kernel
+    :func:`_mills_ratios`, within a few units of 2^-53 of the true slice
+    (the kernel's 2e-15 and the rounding of phi and the powers of s), and
+    the closed forms, which add two positive terms for z0 <= 0, are within
+    5e-16 there.  At v = 0 the slices are the powers of mu_+, with E_0 =
+    1{mu > 0}.
     """
     if v == 0.0:
-        return (mu**alpha, mu**(alpha - 1), mu**max(alpha - 2, 0)) if mu > 0.0 else (0.0, 0.0, 0.0)
+        if mu <= 0.0:
+            return 0.0, 0.0, 0.0, 0.0
+        return mu**alpha, mu**(alpha - 1), mu**max(alpha - 2, 0), mu**max(alpha - 3, 0)
     z0 = -mu / s
     phi = math.exp(-0.5 * z0 * z0) / _SQRT_2PI
-    if z0 > 5.0:
-        if alpha > 1:
-            j0, j1, j2 = _mills_moments(z0, alpha, 3)
-            return s**alpha * phi * j0, s**(alpha - 1) * phi * j1, s**(alpha - 2) * phi * j2
-        j1, j0 = _mills_moments(z0, alpha, 2)
-        return s * phi * j1, phi * j0, phi * j0
-    q = 0.5 * math.erfc(z0 / _SQRT2)
-    e1 = s * phi + mu * q
-    e2 = (v + mu * mu) * q + s * mu * phi
-    if alpha == 3:
-        return mu * (3.0 * v + mu * mu) * q + s * (2.0 * v + mu * mu) * phi, e2, e1
-    if alpha == 2:
-        return e2, e1, q
+    if z0 > 0.0:
+        r3, r2, r1, j0 = _mills_ratios(z0)
+        q = phi * j0
+        e1 = s * r1 * q
+        if alpha == 3:
+            e2 = s * r2 * e1
+            return s * r3 * e2, e2, e1, q
+        if alpha == 2:
+            return s * r2 * e1, e1, q, q
+    else:
+        q = 0.5 * math.erfc(z0 / _SQRT2)
+        e1 = s * phi + mu * q
+        if alpha == 3:
+            mu2 = mu * mu
+            return (mu * (3.0 * v + mu2) * q + s * (2.0 * v + mu2) * phi,
+                    (v + mu2) * q + s * mu * phi, e1, q)
+        if alpha == 2:
+            return (v + mu * mu) * q + s * mu * phi, e1, q, q
     if alpha == 1:
-        return e1, q, q
+        return e1, q, q, q
     raise DomainError(f"alpha must be 1, 2 or 3, got {alpha}")
 
 
 def _slices(rv: MixtureRV, w: float, alpha: float) -> tuple[
-        Callable[[float], float], Callable[[float], tuple[float, float, float]]]:
+        Callable[[float], float], Callable[[float], tuple[float, float, float, float]]]:
     """(mu |-> the slice of the power alpha, mu |-> the slices of the powers
-    alpha, alpha - 1 and alpha - 2), a slice being E(sqrt(v) Z + mu - w)_+^p:
-    closed forms for alpha in {1, 2, 3} (:func:`_gauss_partial_triple`),
-    :func:`_gauss_power_moment` per power otherwise, and the powers of
-    (mu - w)_+ themselves for v = 0.  For alpha < 2 the third power is
-    alpha - 1 again."""
+    alpha, alpha - 1, alpha - 2 and alpha - 3), a slice being E(sqrt(v) Z +
+    mu - w)_+^p: closed forms and the deep-slice kernel for alpha in {1, 2,
+    3} (:func:`_gauss_partial_moments`), :func:`_gauss_power_moment` per
+    power otherwise, and the powers of (mu - w)_+ themselves for v = 0.  A
+    negative power repeats the last nonnegative one."""
     a1 = alpha - 1.0
     a2 = alpha - 2.0 if alpha >= 2.0 else a1
+    a3 = alpha - 3.0 if alpha >= 3.0 else a2
     if rv.v == 0.0:
-        def lattice(mu: float) -> tuple[float, float, float]:
+        def lattice(mu: float) -> tuple[float, float, float, float]:
             d = mu - w
-            return (d**alpha, d**a1, d**a2) if d > 0.0 else (0.0, 0.0, 0.0)
+            return (d**alpha, d**a1, d**a2, d**a3) if d > 0.0 else (0.0, 0.0, 0.0, 0.0)
         return lambda mu: max(mu - w, 0.0) ** alpha, lattice
     v = rv.v
     if alpha in (1, 2, 3):
-        # As an int: _mills_moments slices its tuple with it.
         s, n = math.sqrt(v), int(alpha)
-        return (lambda mu: _gauss_partial_triple(v, s, mu - w, n)[0],
-                lambda mu: _gauss_partial_triple(v, s, mu - w, n))
+        return (lambda mu: _gauss_partial_moments(v, s, mu - w, n)[0],
+                lambda mu: _gauss_partial_moments(v, s, mu - w, n))
     gauss = _gauss_power_moment
     if alpha < 2.0:
-        def pair(mu: float) -> tuple[float, float, float]:
+        def pair(mu: float) -> tuple[float, float, float, float]:
             e1 = gauss(v, mu - w, a1)
-            return gauss(v, mu - w, alpha), e1, e1
+            return gauss(v, mu - w, alpha), e1, e1, e1
         return lambda mu: gauss(v, mu - w, alpha), pair
-    return (lambda mu: gauss(v, mu - w, alpha),
-            lambda mu: (gauss(v, mu - w, alpha), gauss(v, mu - w, a1), gauss(v, mu - w, a2)))
+
+    def triple(mu: float) -> tuple[float, float, float, float]:
+        e2 = gauss(v, mu - w, a2)
+        return gauss(v, mu - w, alpha), gauss(v, mu - w, a1), e2, e2
+    return lambda mu: gauss(v, mu - w, alpha), triple
 
 
 def _overflow_is_range_error(fn: Callable) -> Callable:
@@ -311,30 +396,36 @@ def _overflow_is_range_error(fn: Callable) -> Callable:
 
 
 @_overflow_is_range_error
-def _pos_moment_triple(rv: MixtureRV | TwoPointRV, w: float,
-                       alpha: float) -> tuple[float, float, float]:
-    """(E(X - w)_+^alpha, E(X - w)_+^{alpha-1}, E(X - w)_+^{alpha-2}) for
-    alpha > 1, from one Poisson-count walk for a mixture
+def _pos_moment_walk(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
+                     start: int = -1) -> tuple[float, float, float, float, int, float]:
+    """(N_alpha, N_{alpha-1}, N_{alpha-2}, N_{alpha-3}, peak, z_max) with
+    N_p = E(X - w)_+^p, for alpha > 1: one Poisson-count walk for a mixture
     (:func:`tailbound.special._poisson_log_sums` over :func:`_slices`, the
-    route :func:`pos_moment` takes by default) and the exact sums for a
-    two-point law.  For alpha < 2 the last power is negative, and the third
-    entry is NaN.  Raises RangeError where a moment overflows a double.
+    route :func:`pos_moment` takes by default, its peak search started from
+    ``start``) and the exact sums for a two-point law.  An entry of a
+    negative power is NaN.  peak is the walk's peak count (-1 for a
+    two-point law), and z_max, for a mixture with v > 0, the largest |z0| =
+    |w - mu| / sqrt(v) over the counts the walk evaluated (NaN otherwise).
+    Raises RangeError where a moment overflows a double.
     """
-    low = alpha - 2.0 if alpha >= 2.0 else alpha - 1.0
+    peak, z_max = -1, math.nan
     if isinstance(rv, TwoPointRV):
-        out = (_two_point_exact(rv, w, alpha), _two_point_exact(rv, w, alpha - 1.0),
-               _two_point_exact(rv, w, low))
+        out = tuple(_two_point_exact(rv, w, alpha - i) for i in range(4) if alpha >= i)
     else:
         y, theta = rv.y, rv.theta
         top, slices = _slices(rv, w, alpha)
         if theta == 0.0:
-            out = slices(0.0)
+            out, k_lo, k_hi = slices(0.0), 0, 0
         else:
             k_min = max(0, math.floor(w / y + theta) + 1) if rv.v == 0.0 else 0
-            out = tuple(math.exp(u) for u in _poisson_log_sums(theta, y, top, slices, k_min))
+            log_pmf, *sums, peak, k_lo, k_hi = _poisson_log_sums(theta, y, top, slices, k_min,
+                                                                 start)
+            out = tuple(_times_pmf(log_pmf, e) for e in sums)
+        if rv.v > 0.0:
+            z_max = max(abs(w - y * (k_lo - theta)), abs(w - y * (k_hi - theta))) / math.sqrt(rv.v)
     if not all(math.isfinite(e) for e in out):
         raise RangeError(f"E(X - {w})_+^{alpha} overflows a double")
-    return out if alpha >= 2.0 else (out[0], out[1], math.nan)
+    return (*(out[i] if alpha >= i else math.nan for i in range(4)), peak, z_max)
 
 
 def _geometric_edges(t_lo: float, t_hi: float) -> list[float]:
@@ -531,8 +622,8 @@ def pos_moment_poisson_local(theta: float, y: float, w: float,
 
     def top(mu: float) -> float:
         return max(mu - w, 0.0) ** alpha
-    return math.exp(_poisson_log_sums(theta, y, top, lambda mu: ((e := top(mu)), e, e),
-                                      max(0, math.floor(w / y + theta) + 1))[0])
+    return _times_pmf(*_poisson_log_sums(theta, y, top, lambda mu: ((e := top(mu)), e, e, e),
+                                         max(0, math.floor(w / y + theta) + 1))[:2])
 
 
 # Cumulants of the mixture: kappa_2 = v + y^2 theta, kappa_m = y^m theta

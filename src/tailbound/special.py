@@ -206,53 +206,60 @@ _UNTERMINATED = f"Poisson-count sum did not terminate within {_TERM_BUDGET} term
 
 
 def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
-                      slices: Callable[[float], tuple[float, float, float]],
-                      k_min: int = 0) -> tuple[float, float, float]:
-    """The three logs log sum_{k >= k_min} P(Pois(theta) = k) f_i(k), for
-    theta > 0, of (f_0, f_1, f_2)(k) = slices(y (k - theta)), in one walk;
-    top(y (k - theta)) is f_0(k), the form the peak search evaluates.  This
-    is the package's one Poisson-count sum: a sum of one weight f is the
-    case top = f with slices returning f(mu) three times.
+                      slices: Callable[[float], tuple[float, float, float, float]],
+                      k_min: int = 0, start: int = -1
+                      ) -> tuple[float, float, float, float, float, int, int, int]:
+    """(log P(peak), s_0, s_1, s_2, s_3, peak, k_lo, k_hi), where s_i =
+    S_i / P(peak), for the four sums S_i = sum_{k >= k_min} P(k) f_i(k),
+    P(k) = P(Pois(theta) = k) and theta > 0, of (f_0, f_1, f_2, f_3)(k) =
+    slices(y (k - theta)), in one walk over the counts k_lo..k_hi from the
+    peak; top(y (k - theta)) is f_0(k), the form the peak search evaluates.
+    :func:`_times_pmf` turns an s_i into S_i.  This is the package's one
+    Poisson-count sum: a sum of one weight f is the case top = f with slices
+    returning f(mu) four times.
 
     Each f_i must be >= 0, nondecreasing and log-concave in k.  Its term
     ratio theta/(k+1) * f_i(k+1)/f_i(k) is then nonincreasing in k, so the
     terms rise to one peak, at or above the Poisson mode, and fall away on
-    both sides, and only the peak term needs an lgamma.  The ratios f_1/f_0
-    and f_2/f_1 must be nonincreasing in k too, as they are for
+    both sides, and only the peak term needs an lgamma.  The ratios
+    f_{i+1}/f_i must be nonincreasing in k too, as they are for
     positive-part powers f_i(k) = E(Y + c k)_+^{p-i} of one log-concave Y
     (the p-th mean excess grows with the shift).  Then f_0 peaks furthest
-    right and f_2 furthest left, and the ratio order carries a certified
-    stop from f_0 to the other two above the peak (the rest of each is at
-    most its ratio to f_0 there times the rest of f_0, and its sum so far at
-    least that ratio times f_0's) and from f_2 to the other two below it.
-    So one walk from f_0's peak (:func:`_poisson_peak`), driven on f_0
-    upward and on f_2 downward, sums all three to the accuracy of separate
+    right and f_3 furthest left, and the ratio order carries a certified
+    stop from f_0 to the others above the peak (the rest of each is at most
+    its ratio to f_0 there times the rest of f_0, and its sum so far at
+    least that ratio times f_0's) and from f_3 to the others below it.  So
+    one walk from f_0's peak (:func:`_poisson_peak`, searched from
+    ``start`` when one is given, as the peak of a nearby walk), driven on f_0
+    upward and on f_3 downward, sums all four to the accuracy of separate
     sums.
 
     Each side is one loop with one ``slices`` call a count.  It stops once
     its latest driving ratio r < 1 bounds the rest of the driving sum, at
-    most t r / (1 - r), by 1e-18 of its total, or once the driving weight
-    falls below the smallest normal double (an absolute error below
-    1e-307).  Raises RangeError at the first term that is not a finite
-    double and NumericalError past _TERM_BUDGET / 2 terms on a side.
+    most u r / (1 - r) after a term u, by 1e-18 of the sum so far, or once
+    the driving weight falls below the smallest normal double (an absolute
+    error below 1e-307).  k_lo and k_hi are the last counts each side
+    evaluated.
+    Raises RangeError at the first term that is not a finite double and
+    NumericalError past _TERM_BUDGET / 2 terms on a side.
     """
-    peak = _poisson_peak(theta, lambda k: top(y * (k - theta)), k_min)
-    s0, s1, s2 = at_peak = slices(y * (peak - theta))
-    if not math.isfinite(s0 + s1 + s2):
+    peak = _poisson_peak(theta, lambda k: top(y * (k - theta)), k_min, start)
+    s0, s1, s2, s3 = at_peak = slices(y * (peak - theta))
+    if not math.isfinite(s0 + s1 + s2 + s3):
         raise RangeError(_OVERFLOW.format(peak))
-    if s2 < _NORMAL_MIN:
+    if s3 < _NORMAL_MIN:
         raise NumericalError(f"Poisson-count sum: the lowest power vanished at count {peak}")
     log_pmf = _poisson_logpmf(peak, theta)
     # Sums of P(k)/P(peak) f_i(k).  u is the driving term, carried by its
     # ratio r, and the others are u f_i / f_drive: both stay in range where
-    # the pmf ratio alone would not.  t and total are the driving terms and
-    # their sum in units of the peak's, for the stop.
-    k, t, total = peak, 1.0, 1.0
+    # the pmf ratio alone would not.  The driving sum so far is s0 upward
+    # and s3 downward, for the stop.
+    k, k_far = peak, peak + _TERM_BUDGET // 2
     u = d = s0
     while True:
         r = theta / (k + 1)
         k += 1
-        v0, v1, v2 = slices(y * (k - theta))
+        v0, v1, v2, v3 = slices(y * (k - theta))
         if v0 < _NORMAL_MIN:
             break
         r *= v0 / d
@@ -260,62 +267,91 @@ def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
         s0 += u
         s1 += u * (v1 / v0)
         s2 += u * (v2 / v0)
-        t *= r
-        total += t
+        s3 += u * (v3 / v0)
         if r < 1.0:
-            if t * r <= 1e-18 * total * (1.0 - r):
+            if u * r <= 1e-18 * s0 * (1.0 - r):
                 break
         elif not r < math.inf:
             raise RangeError(_OVERFLOW.format(k))
-        if k - peak > _TERM_BUDGET // 2:
+        if k > k_far:
             raise NumericalError(_UNTERMINATED, estimate=math.exp(log_pmf) * s0)
         d = v0
-    k, t, total = peak, 1.0, s2 / at_peak[2]
-    u = d = at_peak[2]
+    k_hi, k, k_far = k, peak, peak - _TERM_BUDGET // 2
+    u = d = at_peak[3]
     while k > k_min:
         r = k / theta
         k -= 1
-        v0, v1, v2 = slices(y * (k - theta))
-        if v2 < _NORMAL_MIN:
+        v0, v1, v2, v3 = slices(y * (k - theta))
+        if v3 < _NORMAL_MIN:
             break
-        r *= v2 / d
+        r *= v3 / d
         u *= r
-        s0 += u * (v0 / v2)
-        s1 += u * (v1 / v2)
-        s2 += u
-        t *= r
-        total += t
+        s0 += u * (v0 / v3)
+        s1 += u * (v1 / v3)
+        s2 += u * (v2 / v3)
+        s3 += u
         if r < 1.0:
-            if t * r <= 1e-18 * total * (1.0 - r):
+            if u * r <= 1e-18 * s3 * (1.0 - r):
                 break
         elif not r < math.inf:
             raise RangeError(_OVERFLOW.format(k))
-        if peak - k > _TERM_BUDGET // 2:
+        if k < k_far:
             raise NumericalError(_UNTERMINATED, estimate=math.exp(log_pmf) * s0)
-        d = v2
-    if not math.isfinite(s0 + s1 + s2):
+        d = v3
+    if not math.isfinite(s0 + s1 + s2 + s3):
         # The peak search starts where f_0 is a normal double; a first such
         # count far above theta leaves pmf ratios past the double range.
         raise NumericalError(f"Poisson-count sums vanished: the walk below count {peak} "
                              "left the double range")
-    return log_pmf + math.log(s0), log_pmf + math.log(s1), log_pmf + math.log(s2)
+    return log_pmf, s0, s1, s2, s3, peak, k, k_hi
 
 
-def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int) -> int:
+def _times_pmf(log_pmf: float, s: float) -> float:
+    """exp(log_pmf) s: a sum of :func:`_poisson_log_sums` in units of the
+    peak's pmf back in absolute units.  Where exp(log_pmf) is a normal
+    double it is one factor, so the sums of one walk share its rounding and
+    their ratios keep every digit; below, exp(log_pmf + log s)."""
+    return math.exp(log_pmf) * s if log_pmf > -700.0 else math.exp(log_pmf + math.log(s))
+
+
+def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int,
+                  start: int = -1) -> int:
     """The peak of the sum of P(Pois(theta) = k) f(k) over k >= k_min, for
-    f as in :func:`_poisson_log_sums`: the first k from max(k_min,
+    f as in :func:`_poisson_log_sums`: the first k from lo = max(k_min,
     floor(theta)) on where f(k) is a normal double and the term ratio
-    theta/(k+1) * f(k+1)/f(k) is at most 1.  Most peaks lie within a few
-    counts of the start, so the search steps up one count at a time,
-    carrying f(k+1) forward, for _PEAK_SCAN counts, and then doubles and
-    bisects on the sign of the ratio.  A non-finite f(k) ends the search at
-    k, where the walk raises."""
+    theta/(k+1) * f(k+1)/f(k) is at most 1.  That test is false below the
+    peak and true from it on, so the search may begin anywhere at or above
+    lo: at max(lo, start).  Most peaks lie within a few counts of the
+    start, so it steps one count at a time toward the peak, up or down,
+    carrying the f value it shares with the next probe, for _PEAK_SCAN
+    counts, and then doubles and bisects on the test.  A non-finite f(k)
+    ends the search at k, where the walk raises."""
     def at_peak(k: int) -> bool:
         fk = f(k)
         return not (fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk)
 
-    peak = max(k_min, math.floor(theta))
+    lo = max(k_min, math.floor(theta))
+    peak = max(lo, start)
     f_peak, f_next = f(peak), f(peak + 1)
+    if not (f_peak < _NORMAL_MIN or theta * f_next > (peak + 1) * f_peak):
+        # At the peak or above it: step down while the count below passes.
+        for _ in range(_PEAK_SCAN):
+            if peak == lo:
+                return peak
+            f_prev = f(peak - 1)
+            if f_prev < _NORMAL_MIN or theta * f_peak > peak * f_prev:
+                return peak
+            peak, f_peak = peak - 1, f_prev
+        step = 2
+        while (below := max(lo - 1, peak - step)) >= lo and at_peak(below):
+            peak, step = below, 2 * step
+        while peak - below > 1:
+            mid = (peak + below) // 2
+            if at_peak(mid):
+                peak = mid
+            else:
+                below = mid
+        return peak
     scanned = 0
     while f_peak < _NORMAL_MIN or theta * f_next > (peak + 1) * f_peak:
         if scanned == _PEAK_SCAN:
@@ -364,8 +400,9 @@ def poisson_log_tail(theta: float, u: float) -> float:
     k_min = math.ceil(u)
     if k_min <= theta - math.sqrt(75.0 * theta):
         return 0.0
-    return min(0.0, _poisson_log_sums(theta, 1.0, lambda mu: 1.0,
-                                      lambda mu: (1.0, 1.0, 1.0), k_min)[0])
+    log_pmf, s = _poisson_log_sums(theta, 1.0, lambda mu: 1.0,
+                                   lambda mu: (1.0, 1.0, 1.0, 1.0), k_min)[:2]
+    return min(0.0, log_pmf + math.log(s))
 
 
 def normal_tail(v: float, x: float) -> float:

@@ -359,17 +359,49 @@ def hp_gap_mp(p, a, dps=30):
         return float(e_mix - a * (1 + a) ** (p - 1))
 
 
-def mills_moments_loop(z, n, count=1):
-    """[J_n(z), ..., J_{n-count+1}(z)], J_m(z) = Int_0^inf u^m e^{-zu-u^2/2} du,
-    by the continued fraction J_m/J_{m-1} = m/(z + J_{m+1}/J_m) run backward
-    from depth 10 + 800/z^2 in one generic loop, for any n and count <= n + 1:
-    the form the library's unrolled kernel must reproduce bit for bit."""
-    rho, js = 0.0, [1.0] * count
-    for m in range(10 + int(800.0 / (z * z)), n, -1):
-        rho = m / (z + rho)
-    for m in range(n, 0, -1):
-        rho = m / (z + rho)
-        # J_{n-i} is J_0 times the ratios of the orders m <= n - i.
-        for i in range(min(count, n - m + 1)):
-            js[i] *= rho
-    return [j / (z + rho) for j in js]
+# Pieces of the deep-slice kernel's fit of rho_4 = J_4/J_3
+# (tailbound.posmoments._MILLS_RHO4): edges, and each piece's degree.
+MILLS_RHO4_EDGES = (0, 1, 2, 3, 4, 5, 7, 9, 12, 16, 25)
+MILLS_RHO4_DEGREES = (12, 12, 11, 10, 10, 12, 11, 12, 12, 14)
+
+
+def mills_ratio_mp(z, m):
+    """J_m(z) / J_{m-1}(z) = m D_{-m-1}(z) / D_{-m}(z) (DLMF 12.5.1), at the
+    working precision."""
+    z = mpmath.mpf(z)
+    return m * mpmath.pcfd(-m - 1, z) / mpmath.pcfd(-m, z)
+
+
+def mills_rho4_fit(edges=MILLS_RHO4_EDGES, degrees=MILLS_RHO4_DEGREES, dps=40):
+    """The generator of tailbound.posmoments._MILLS_RHO4: for each piece
+    [a, b) of ``edges``, its centre c = (a + b) / 2 and the coefficients,
+    highest power first, of the polynomial of the given degree d in u = z - c
+    that interpolates rho_4 = J_4/J_3 (:func:`mills_ratio_mp` at ``dps``
+    digits) at the d + 1 Chebyshev nodes of [a, b], rounded to doubles.
+    The interpolant is formed as a Chebyshev series in u / h, h = (b - a) /
+    2, and expanded into powers of u at ``dps`` digits.  Against 40-digit
+    mpmath the fit is within 3e-17 (z + rho_4) of rho_4 on every piece,
+    below the kernel's rounding."""
+    out = []
+    with mpmath.workdps(dps):
+        for a, b, degree in zip(edges, edges[1:], degrees):
+            c, h, n = (mpmath.mpf(a) + b) / 2, (mpmath.mpf(b) - a) / 2, degree + 1
+            nodes = [mpmath.cos(mpmath.pi * (k + mpmath.mpf(1) / 2) / n) for k in range(n)]
+            values = [mills_ratio_mp(c + h * x, 4) for x in nodes]
+            # T_j as power coefficients, lowest first, by T_{j+1} = 2x T_j - T_{j-1}.
+            cheb = [[mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]]
+            while len(cheb) < n:
+                nxt = [mpmath.mpf(0)] + [2 * t for t in cheb[-1]]
+                for i, t in enumerate(cheb[-2]):
+                    nxt[i] -= t
+                cheb.append(nxt)
+            power = [mpmath.mpf(0)] * n
+            for j in range(n):
+                cj = 2 * mpmath.fsum(f * mpmath.cos(j * mpmath.acos(x))
+                                     for f, x in zip(values, nodes)) / n
+                if j == 0:
+                    cj /= 2
+                for i, t in enumerate(cheb[j]):
+                    power[i] += cj * t
+            out.append((float(c), tuple(float(p / h**i) for i, p in reversed(list(enumerate(power))))))
+    return tuple(out)

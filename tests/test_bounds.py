@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from tailbound.posmoments import _pos_moment_walk
 from tailbound import (
     BoundParams,
     DomainError,
@@ -290,7 +291,8 @@ def test_pin_bracket_without_sign_change_is_numerical_error(monkeypatch):
     # Moments whose m(t) = t + N_3/N_2 stays at t, below x, leave no sign
     # change on the t_x bracket, so the solve fails at its right end; that
     # is a numerical failure, not bad input.
-    monkeypatch.setattr(bounds, "_pos_moment_triple", lambda rv, w, alpha: (0.0, 1.0, 1.0))
+    monkeypatch.setattr(bounds, "_pos_moment_walk",
+                        lambda rv, w, alpha, start=-1: (0.0, 1.0, 1.0, 1.0, -1, math.nan))
     with pytest.raises(NumericalError):
         pin(BoundParams(1.0, 0.1, 0.1), 35.0)
 
@@ -308,17 +310,143 @@ def _count_walks(monkeypatch) -> list[int]:
     return count
 
 
-@pytest.mark.parametrize("call", [
+_SOLVES = [
     lambda: pin(BoundParams(1.0, 1.0, 0.1), 3.0),
     lambda: be(BoundParams(1.0, 1.0, 0.5), 2.0),
     lambda: p_alpha(BoundParams(1.0, 1.0, 0.1).mixture(), 2.5, 3.0),
-], ids=["pin", "be", "p_alpha_2.5"])
-def test_t_x_solve_walk_budget(monkeypatch, call):
-    # A work gate that holds on any host: one solve takes at most six
-    # Poisson-count walks (Brent over two walks per m(t) took ~20).
+]
+
+
+@pytest.mark.parametrize("call,budget", list(zip(_SOLVES, (3, 2, 4))),
+                         ids=["pin", "be", "p_alpha_2.5"])
+def test_t_x_solve_walk_budget(monkeypatch, call, budget):
+    # A work gate that holds on any host, at the counts the solve reaches
+    # (Brent over two walks per m(t) took ~20; the Newton solve took 6, 4
+    # and 4 before the finishes): pin ends from its third walk's Taylor
+    # model and be from its second walk's lattice cell; p_alpha at 2.5
+    # keeps its confirming walk.
     walks = _count_walks(monkeypatch)
     call()
-    assert 0 < walks[0] <= 6
+    assert 0 < walks[0] <= budget
+
+
+@pytest.mark.parametrize("call", _SOLVES + [
+    lambda: pin(BoundParams(1.0, 0.1, 0.1), 5.0),
+    lambda: pin(BoundParams(1.0, 0.3, 0.5), 3.0),
+    lambda: be(BoundParams(1.0, 0.1, 0.5), 40.0),
+], ids=["pin", "be", "p_alpha_2.5", "pin_t10", "pin_t5.6", "be_t100"])
+def test_later_walks_of_a_solve_take_three_peak_probes(monkeypatch, call):
+    # Each walk after a solve's first searches its peak from the previous
+    # walk's: at most three top-slice evaluations where the peak moved by
+    # at most one count the way t did.
+    from tailbound import special
+    probes, search = [], special._poisson_peak
+
+    def counted(theta, f, k_min, start=-1):
+        probes.append([start, 0])
+
+        def top(k):
+            probes[-1][1] += 1
+            return f(k)
+        return search(theta, top, k_min, start)
+    monkeypatch.setattr(special, "_poisson_peak", counted)
+    call()
+    assert probes[0][0] == -1 and len(probes) > 1
+    assert all(start >= 0 and n <= 3 for start, n in probes[1:]), probes
+
+
+def _finish_spy(monkeypatch) -> list:
+    """The results of bounds._cubic_finish, None where it declined."""
+    out, finish = [], bounds._cubic_finish
+
+    def spy(*args):
+        out.append(finish(*args))
+        return out[-1]
+    monkeypatch.setattr(bounds, "_cubic_finish", spy)
+    return out
+
+
+@pytest.mark.parametrize("params,x", [
+    ((1.0, 1.0, 0.1), 3.0), ((1.0, 1.0, 0.1), 5.0), ((1.0, 0.5, 0.9), 2.0),
+    ((1.0, 0.3, 0.5), 4.0), ((1.0, 2.0, 0.3), 1.0),
+])
+@pytest.mark.parametrize("offset", [-3e-6, 1e-7, 2e-6])
+def test_cubic_finish_is_within_its_remainder_of_the_true_moments(params, x, offset):
+    # From the exact moments at a t near t_x, the finish lands on the root
+    # of the Taylor model without a walk.  Against 30-digit mpmath at the
+    # t it returns, N_2 is within its certified remainder, 2^-40 of N_2
+    # (plus the rounding of the model), and N_3 is at least the true
+    # moment: the ratio stays an upper bound, to the model's rounding.
+    rv = BoundParams(*params).mixture()
+    t_x = bounds._solve_t_x(rv, 3.0, x)[0]
+    t = t_x + offset * (x - t_x)
+    mp_moment = lambda t, p: oracles.mixture_pos_moment_mp(rv.v, rv.y, rv.theta, t, p)
+    with mpmath.workdps(30):
+        n3, n2, n1, n0 = (float(mp_moment(t, p)) for p in (3, 2, 1, 0))
+    step = -(t + n3 / n2 - x) / (2.0 * (n3 / n2) * (n1 / n2) - 2.0)
+    z_max = _pos_moment_walk(rv, t, 3.0)[5]
+    done = bounds._cubic_finish(x, t, (n3, n2, n1, n0), z_max, math.sqrt(rv.v), step, 1e-13)
+    assert done is not None
+    t_fin, e3, e2 = done
+    assert abs(t_fin - t_x) <= 1e-11 * max(1.0, abs(x))
+    with mpmath.workdps(30):
+        true3, true2 = mp_moment(t_fin, 3), mp_moment(t_fin, 2)
+        assert abs(e2 - true2) <= (2.0**-40 + 8 * 2.0**-53) * true2
+        assert e3 >= true3 * (1 - 4 * 2.0**-53)
+        assert e3 / (x - t_fin) ** 3 >= true3 / (x - t_fin) ** 3 * (1 - 4 * 2.0**-53)
+
+
+@pytest.mark.parametrize("params", [(1.0, 1.0, 0.1), (1.0, 0.3, 0.5), (1.0, 0.5, 0.9),
+                                    (1.0, 0.1, 0.1), (1.0, 2.0, 0.3)])
+@pytest.mark.parametrize("x", [0.5, 2.0, 4.0, 9.0])
+def test_finished_pin_solve_matches_a_walk_at_its_t(monkeypatch, params, x):
+    # A pin solve that ends on the Taylor model, against a direct walk at
+    # the t it returns: N_3 and N_2 agree to the walks' own rounding (two
+    # exp(log) roundings, ~|ln N| units of 2^-53 each, and the sums'), and
+    # N_2 to its remainder besides.
+    finishes = _finish_spy(monkeypatch)
+    rv = BoundParams(*params).mixture()
+    t, e3, e2 = bounds._solve_t_x(rv, 3.0, x)
+    assert finishes[-1] is not None and finishes[-1][0] == t
+    w3, w2 = _pos_moment_walk(rv, t, 3.0)[:2]
+    slack = (4.0 + 2.0 * abs(math.log(w3)) + 32.0) * 2.0**-53
+    assert e3 >= w3 * (1.0 - slack)
+    assert e3 == pytest.approx(w3, rel=slack, abs=0.0)
+    assert e2 == pytest.approx(w2, rel=2.0**-40 + slack, abs=0.0)
+
+
+@pytest.mark.parametrize("params,x", [((1.0, 1.0, 0.5), 2.0), ((1.0, 0.3, 0.5), 3.1),
+                                      ((0.8, 0.24, 0.5), 24.0), ((1.0, 0.1, 0.5), 10.0)])
+def test_lattice_cell_finish_matches_a_walk_at_its_t(params, x, monkeypatch):
+    # be's solve ends where its in-cell step lands strictly inside the cell:
+    # N_2 - 2 N_1 d + N_0 d^2 and N_1 - N_0 d are exact there, so a walk at
+    # that t gives the same moments to rounding: the walks' own, as in
+    # test_posmoments' _walk_tol (their peaks' lgamma differ by ~theta ln
+    # theta units of 2^-52), and the cancellation of at most 16 the finish
+    # allows.
+    walks = _count_walks(monkeypatch)
+    rv = BoundParams(*params).bentkus()
+    t, e2, e1 = bounds._solve_t_x(rv, 2.0, x)
+    edge = rv.y * (math.floor(t / rv.y + rv.theta) - rv.theta)
+    assert edge < t < edge + rv.y
+    n = walks[0]
+    w2, w1 = _pos_moment_walk(rv, t, 2.0)[:2]
+    assert walks[0] == n + 1
+    theta = rv.theta
+    slack = 16 * 2.0**-52 * (theta * (1.0 + abs(math.log(theta))) + abs(math.log(w2)) + 10.0)
+    assert e2 == pytest.approx(w2, rel=slack, abs=0.0)
+    assert e1 == pytest.approx(w1, rel=slack, abs=0.0)
+
+
+@pytest.mark.parametrize("params,x", [((1.0, 1.0, 0.1), 4.0), ((1.0, 1.0, 0.1), 5.0),
+                                      ((1.0, 0.5, 0.2), 4.5), ((1.0, 2.0, 0.5), 4.0)])
+def test_pin_with_deep_slices_against_mpmath(params, x):
+    # Laws whose heaviest slices sit at z0 in (3, 5), where the closed forms
+    # lost up to 1.3e-11 (pin(1, 1, 0.1; 5) was 1.7e-13 low): the kernel
+    # keeps every digit.
+    rv = BoundParams(*params).mixture()
+    want = oracles.p_alpha_mp(rv.v, rv.y, rv.theta, 3.0, x)
+    assert pin(BoundParams(*params), x).value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_lattice_cell_step_lands_on_t_x(monkeypatch):
@@ -588,10 +716,10 @@ def test_effective_epsilon_validation():
 
 
 def test_ea_against_dense_grid():
-    from tailbound.posmoments import _gauss_partial_triple
+    from tailbound.posmoments import _gauss_partial_moments
 
     def moment(t):
-        return 2.0 * _gauss_partial_triple(1.0, math.sqrt(1.0), -t, 3)[0]
+        return 2.0 * _gauss_partial_moments(1.0, math.sqrt(1.0), -t, 3)[0]
 
     for x in (1.0, 3.0, 5.0):
         ref = oracles.dense_palpha(moment, 3.0, x, t_lo=0.0, t_hi=x, n=40001)
@@ -680,11 +808,11 @@ def test_overflowing_terms_fail_fast(monkeypatch):
     from tailbound import posmoments
     calls = [0]
 
-    def counted(*args, _triple=posmoments._gauss_partial_triple):
+    def counted(*args, _triple=posmoments._gauss_partial_moments):
         calls[0] += 1
         return _triple(*args)
 
-    monkeypatch.setattr(posmoments, "_gauss_partial_triple", counted)
+    monkeypatch.setattr(posmoments, "_gauss_partial_moments", counted)
     with pytest.raises(RangeError, match="overflows a double"):
         p_alpha(BoundParams(1e110, 1e110, 0.5).mixture(), 3.0, 2e110)
     assert 0 < calls[0] < 100

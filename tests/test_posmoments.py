@@ -28,8 +28,8 @@ from tailbound import (
 )
 from tailbound.bounds import p_alpha
 from tailbound.oracle import hp_counterexample_gap
-from tailbound.posmoments import _gauss_partial_triple, _gauss_power_moment, _mills_power
-from tailbound.posmoments import _mills_moments, _pos_moment_triple
+from tailbound.posmoments import _gauss_partial_moments, _gauss_power_moment, _mills_power
+from tailbound.posmoments import _MILLS_EDGES, _MILLS_RHO4, _mills_ratios, _pos_moment_walk
 from tailbound import mixture_tail, poisson_tail
 
 MIX = MixtureRV(0.9, 1.0, 0.1)
@@ -52,7 +52,7 @@ def test_method_selector_validation():
     (1.0, 0.0), (1.0, 2.5), (1.0, -2.5), (0.25, 0.7), (4.0, -1.2),
 ])
 def test_gauss_partial_moment_closed_forms(v, mu, alpha):
-    assert _gauss_partial_triple(v, math.sqrt(v), mu, alpha)[0] == pytest.approx(
+    assert _gauss_partial_moments(v, math.sqrt(v), mu, alpha)[0] == pytest.approx(
         oracles.normal_partial_moment_quad(v, mu, alpha), rel=1e-10, abs=1e-13)
 
 
@@ -72,6 +72,15 @@ def _gauss_partial_moment_mp(v, mu, alpha):
         return float(out)
 
 
+def _mills_js(z):
+    # (J_3, J_2, J_1, J_0) from the kernel's ratios, multiplied up from J_0
+    # as the slices do.
+    r3, r2, r1, j0 = _mills_ratios(z)
+    j1 = r1 * j0
+    j2 = r2 * j1
+    return r3 * j2, j2, j1, j0
+
+
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_mills_moment_continued_fraction(alpha):
     # phi(z) J_alpha(z) = E(Z - z)_+^alpha, for every z where the closed
@@ -79,7 +88,7 @@ def test_mills_moment_continued_fraction(alpha):
     for i in range(65):
         z = 5.0 + 0.5 * i
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        assert phi * _mills_moments(z, alpha)[0] == pytest.approx(
+        assert phi * _mills_js(z)[3 - alpha] == pytest.approx(
             _gauss_partial_moment_mp(1.0, -z, alpha), rel=5e-13, abs=0.0)
 
 
@@ -105,15 +114,15 @@ def test_gauss_partial_moment_deep_slices(alpha):
     # off by 4.4e-9 at z0 = 12.6, alpha = 3.
     for z0 in (5.3, 8.4, 12.6, 17.0, 25.0, 37.0):
         mu = -z0 * math.sqrt(0.9)
-        assert _gauss_partial_triple(0.9, math.sqrt(0.9), mu, alpha)[0] == pytest.approx(
+        assert _gauss_partial_moments(0.9, math.sqrt(0.9), mu, alpha)[0] == pytest.approx(
             _gauss_partial_moment_mp(0.9, mu, alpha), rel=5e-13, abs=0.0)
 
 
 def test_gauss_partial_moment_degenerate():
-    assert _gauss_partial_triple(0.0, math.sqrt(0.0), 2.0, 3)[0] == 8.0
-    assert _gauss_partial_triple(0.0, math.sqrt(0.0), -2.0, 3)[0] == 0.0
+    assert _gauss_partial_moments(0.0, math.sqrt(0.0), 2.0, 3)[0] == 8.0
+    assert _gauss_partial_moments(0.0, math.sqrt(0.0), -2.0, 3)[0] == 0.0
     with pytest.raises(DomainError):
-        _gauss_partial_triple(1.0, math.sqrt(1.0), 0.0, 4)[0]
+        _gauss_partial_moments(1.0, math.sqrt(1.0), 0.0, 4)[0]
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -143,7 +152,7 @@ def test_series_deep_shift_against_mpmath(w, want):
 def test_series_pure_gaussian_slice():
     rv = MixtureRV(1.44, 1.0, 0.0)
     assert pos_moment_mixture_series(rv, 0.3, 2) == pytest.approx(
-        _gauss_partial_triple(1.44, math.sqrt(1.44), -0.3, 2)[0], rel=1e-14)
+        _gauss_partial_moments(1.44, math.sqrt(1.44), -0.3, 2)[0], rel=1e-14)
 
 
 def test_series_delegates_pure_poisson():
@@ -379,26 +388,45 @@ def test_routes_agree_property(w, alpha):
     assert lap == pytest.approx(ser, rel=1e-6, abs=1e-12)
 
 
-def test_mills_moments_match_the_generic_loop_bit_for_bit():
-    # The unrolled last steps are the generic loop's floating-point steps in
-    # its order, so every order and count gives the loop's bits.
-    for i in range(141):
-        z = 5.0 + 0.25 * i
-        for n in range(4):
-            for count in range(1, n + 2):
-                assert list(_mills_moments(z, n, count)) == oracles.mills_moments_loop(z, n, count)
+def _assert_mills_js_match_mpmath(z):
+    with mpmath.workdps(40):
+        for n, got in zip((3, 2, 1, 0), _mills_js(z)):
+            want = oracles.mills_power_mp(z, n)
+            assert got == pytest.approx(float(want), rel=2e-15, abs=0.0), (z, n)
 
 
-@given(st.floats(min_value=2.0, max_value=60.0), st.integers(min_value=0, max_value=3),
-       st.integers(min_value=1, max_value=4))
-def test_mills_moments_bits_anywhere(z, n, count):
-    count = min(count, n + 1)
-    assert list(_mills_moments(z, n, count)) == oracles.mills_moments_loop(z, n, count)
+def test_mills_ratios_match_mpmath_on_a_grid():
+    # Every J_n, n <= 3, of the deep-slice kernel against 40-digit pcfd on
+    # both sides of every piece edge and across the continued fraction's
+    # range: 2e-15, the kernel's stated accuracy (5.3e-16 seen).
+    zs = [0.125 * i for i in range(305)]
+    zs += [e * (1.0 - 2.0**-52) for e in _MILLS_EDGES[1:]]
+    for z in zs:
+        _assert_mills_js_match_mpmath(z)
 
 
-def test_mills_moments_rejects_orders_past_three():
+@given(st.floats(min_value=0.0, max_value=38.0))
+def test_mills_ratios_match_mpmath_anywhere(z):
+    _assert_mills_js_match_mpmath(z)
+
+
+def test_mills_ratios_reject_negative_z():
     with pytest.raises(DomainError):
-        _mills_moments(9.0, 4)
+        _mills_ratios(-0.5)
+
+
+def test_mills_rho4_table_is_the_generated_fit():
+    # The committed table is the output of its generator, and the fit is
+    # within 3e-17 (z + rho_4) of 40-digit rho_4 on each piece.
+    assert _MILLS_EDGES == oracles.MILLS_RHO4_EDGES
+    assert _MILLS_RHO4 == oracles.mills_rho4_fit()
+    with mpmath.workdps(40):
+        for (a, b), (c, coeffs) in zip(zip(_MILLS_EDGES, _MILLS_EDGES[1:]), _MILLS_RHO4):
+            for i in range(21):
+                z = a + (b - a) * mpmath.mpf(i) / 20
+                fit = mpmath.polyval([mpmath.mpf(x) for x in coeffs], z - mpmath.mpf(c))
+                rho = oracles.mills_ratio_mp(z, 4)
+                assert abs(fit - rho) <= 3e-17 * (z + rho), float(z)
 
 
 def _walk_tol(theta, value):
@@ -418,7 +446,7 @@ def test_pos_moment_triple_matches_the_scalar_sums(law, sigma, log10_y, eps, shi
     params = BoundParams(sigma, 10.0**log10_y, eps)
     rv = params.mixture() if kind == "mixture" else params.bentkus()
     w = shift * sigma
-    got = _pos_moment_triple(rv, w, alpha)
+    got = _pos_moment_walk(rv, w, alpha)
     for power, value in zip((alpha, alpha - 1.0, alpha - 2.0), got):
         if power > 0.0:
             want = pos_moment(rv, w, power)
@@ -454,11 +482,11 @@ def test_one_power_walk_fails_fast_on_overflow(monkeypatch):
     # after half a term budget (131 072 counts) of NaN terms.
     calls = [0]
 
-    def counted(*args, _triple=posmoments._gauss_partial_triple):
+    def counted(*args, _triple=posmoments._gauss_partial_moments):
         calls[0] += 1
         return _triple(*args)
 
-    monkeypatch.setattr(posmoments, "_gauss_partial_triple", counted)
+    monkeypatch.setattr(posmoments, "_gauss_partial_moments", counted)
     with pytest.raises(RangeError):
         pos_moment(BoundParams(1e110, 1e110, 0.5).mixture(), 0.0, 3)
     assert 0 < calls[0] < 100

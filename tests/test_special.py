@@ -20,7 +20,7 @@ from tailbound import (
     poisson_log_tail,
     poisson_tail,
 )
-from tailbound.posmoments import _gauss_partial_triple
+from tailbound.posmoments import _gauss_partial_moments
 from tailbound.special import _root_in_bracket
 from tailbound import RangeError
 from tailbound.special import _poisson_log_sums
@@ -302,11 +302,12 @@ def test_poisson_log_sum_matches_brute_force(theta, y, v, w, alpha):
         (lambda mu: 1.0, k_tail),
         (local, k_local),
         (lambda mu: normal_tail(v, w - mu), 0),
-        (lambda mu: _gauss_partial_triple(v, math.sqrt(v), mu - w, alpha)[0], 0),
+        (lambda mu: _gauss_partial_moments(v, math.sqrt(v), mu - w, alpha)[0], 0),
     ]
     for f, k_min in cases:
         # The one-power case of the walk: the weight three times over.
-        got = _poisson_log_sums(theta, y, f, lambda mu: (f(mu),) * 3, k_min)[0]
+        log_pmf, s = _poisson_log_sums(theta, y, f, lambda mu: (f(mu),) * 4, k_min)[:2]
+        got = log_pmf + math.log(s)
         want = _brute_log_sum(theta, lambda k: f(y * (k - theta)), k_min, k_max)
         assert math.exp(got - want) == pytest.approx(1.0, abs=1e-13)
 
@@ -372,7 +373,7 @@ def test_fused_walk_fails_fast_on_a_term_past_the_double_range():
 
     def slices(mu):
         calls.append(mu)
-        return 8e307 * 2.0**mu, 2.0**mu, 1.0
+        return 8e307 * 2.0**mu, 2.0**mu, 1.0, 1.0
 
     with pytest.raises(RangeError, match="at count 3"):
         _poisson_log_sums(1.0, 1.0, lambda mu: 8e307 * 2.0**mu, slices)
