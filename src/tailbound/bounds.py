@@ -155,20 +155,33 @@ def bh_exp(sigma: float, y: float, lam: float) -> float:
 
 def pu_exp(params: BoundParams, lam: float) -> float:
     """E exp(lam eta) for the comparison mixture: the Gaussian factor
-    exp(lam^2 (1-eps) sigma^2 / 2) times the centered-Poisson factor.
-    Scale-free: computed on l = lam sigma, r = y / sigma and the Poisson
-    rate theta = eps / r^2, at sigma = 1 bit for bit the unscaled form."""
+    exp(lam^2 (1-eps) sigma^2 / 2) times the centered-Poisson factor
+    exp(theta e_1(lam y)), theta = eps sigma^2 / y^2 the Poisson rate.
+    Scale-free: computed on l = lam sigma and r = y / sigma, with theta
+    e_1(l r) = eps l^2 g(l r), g(u) = e_1(u) / u^2 (:func:`_e1_over_square`),
+    so it stays finite where theta = eps / r^2 overflows."""
     if not (lam >= 0.0):
         raise DomainError(f"lambda must be >= 0, got {lam}")
     l, r, eps = lam * params.sigma, params.y / params.sigma, params.eps
-    theta = eps / (r * r) if r * r > 0.0 else math.inf
-    if not (math.isfinite(l) and math.isfinite(r) and math.isfinite(theta)):
-        raise RangeError(f"lambda sigma = {l}, y / sigma = {r} or theta = {theta} "
-                         "leaves the double range")
+    if not (math.isfinite(l) and 0.0 < r < math.inf):
+        raise RangeError(f"lambda sigma = {l} or y / sigma = {r} leaves the double range")
     u = l * r
     if u > _MAX_EXP_ARG:
         raise RangeError(f"lambda*y = {u} overflows the exponential bound")
-    return math.exp(0.5 * l * l * (1.0 - eps) + theta * exp_remainder(1, u))
+    return math.exp(0.5 * l * l * (1.0 - eps) + eps * l * l * _e1_over_square(u))
+
+
+def _e1_over_square(u: float) -> float:
+    """g(u) = (e^u - 1 - u) / u^2 for u >= 0: below u = 1e-2 its Taylor
+    series sum_{m >= 2} u^{m-2} / m!, eight terms (the rest is below 1e-22
+    of the sum), and exp_remainder(1, u) / u^2 above."""
+    if u >= 1e-2:
+        return exp_remainder(1, u) / (u * u)
+    out, term = 0.0, 0.5
+    for m in range(3, 11):
+        out += term
+        term *= u / m
+    return out
 
 
 def _pu_exponent(params: BoundParams, lam: float, x: float) -> float:

@@ -122,9 +122,16 @@ class TestFunction:
         return cls("exponential", lam=lam)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """f at each x.  The integer powers 2 and 3 are products, within
+        2 ulp of the float power and ~9x cheaper than it."""
         if self.tag == "exponential":
             return np.exp(self.lam * np.asarray(x, dtype=float))
-        return np.maximum(np.asarray(x, dtype=float) - self.t, 0.0) ** self.alpha
+        y = np.maximum(np.asarray(x, dtype=float) - self.t, 0.0)
+        if self.alpha == 3.0:
+            cube = y * y
+            cube *= y
+            return cube
+        return y * y if self.alpha == 2.0 else y ** self.alpha
 
 
 @dataclass(frozen=True, slots=True)

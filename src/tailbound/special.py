@@ -322,10 +322,11 @@ def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int,
     theta/(k+1) * f(k+1)/f(k) is at most 1.  That test is false below the
     peak and true from it on, so the search may begin anywhere at or above
     lo: at max(lo, start).  Most peaks lie within a few counts of the
-    start, so it steps one count at a time toward the peak, up or down,
-    carrying the f value it shares with the next probe, for _PEAK_SCAN
-    counts, and then doubles and bisects on the test.  A non-finite f(k)
-    ends the search at k, where the walk raises."""
+    start, so it steps one count at a time toward the peak, carrying the f
+    value it shares with the next probe: down from a start that passes
+    (a start is the peak of a nearby walk), and up for _PEAK_SCAN counts
+    and then by doubling and bisection from one that fails.  A non-finite
+    f(k) ends the search at k, where the walk raises."""
     def at_peak(k: int) -> bool:
         fk = f(k)
         return not (fk < _NORMAL_MIN or theta * f(k + 1) > (k + 1) * fk)
@@ -334,23 +335,11 @@ def _poisson_peak(theta: float, f: Callable[[int], float], k_min: int,
     peak = max(lo, start)
     f_peak, f_next = f(peak), f(peak + 1)
     if not (f_peak < _NORMAL_MIN or theta * f_next > (peak + 1) * f_peak):
-        # At the peak or above it: step down while the count below passes.
-        for _ in range(_PEAK_SCAN):
-            if peak == lo:
-                return peak
+        while peak > lo:
             f_prev = f(peak - 1)
             if f_prev < _NORMAL_MIN or theta * f_peak > peak * f_prev:
-                return peak
+                break
             peak, f_peak = peak - 1, f_prev
-        step = 2
-        while (below := max(lo - 1, peak - step)) >= lo and at_peak(below):
-            peak, step = below, 2 * step
-        while peak - below > 1:
-            mid = (peak + below) // 2
-            if at_peak(mid):
-                peak = mid
-            else:
-                below = mid
         return peak
     scanned = 0
     while f_peak < _NORMAL_MIN or theta * f_next > (peak + 1) * f_peak:

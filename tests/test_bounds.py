@@ -895,8 +895,17 @@ def test_split_and_mixture_mgf_out_of_range_are_range_errors():
         pu_exp(BoundParams(1e200, 1e200, 0.5), 1e200)
     with pytest.raises(RangeError):  # y / sigma underflows
         pu_exp(BoundParams(1e300, 1e-300, 0.5), 1.0)
-    with pytest.raises(RangeError):  # theta = eps sigma^2 / y^2 overflows
-        pu_exp(BoundParams(1.0, 1e-160, 0.5), 1.0)
+
+
+def test_pu_exp_finite_where_theta_overflows():
+    # theta = eps sigma^2 / y^2 overflows below y / sigma ~ 1e-154, where
+    # the Poisson part is Gaussian to within u = lam y: e^{lam^2 / 2} at
+    # sigma = 1.
+    for r in (1e-160, 1e-300, 2.0**-1070):
+        assert pu_exp(BoundParams(1.0, r, 0.5), 1.0) == pytest.approx(
+            1.6487212707001282, rel=1e-15, abs=0.0)
+    assert pu_exp(BoundParams(1.0, 1e-160, 0.5), 1.0) == pytest.approx(
+        math.exp(0.5), rel=1e-15, abs=0.0)
 
 
 def test_comparison_laws_out_of_range_are_range_errors():

@@ -66,6 +66,17 @@ def test_test_function_families():
     assert h(np.array([-1.0, 2.0])) == pytest.approx([0.0, 4.0])
 
 
+@pytest.mark.parametrize("f", [TestFunction.power_part(0.3), TestFunction.power_part2(-0.2),
+                               TestFunction.power_part2(0.1, 3.0)])
+def test_integer_powers_are_products_within_4_ulp(f):
+    # The products for alpha in {2, 3} against the float power they replace.
+    x = np.random.default_rng(5).normal(scale=3.0, size=1 << 14)
+    want = np.maximum(x - f.t, 0.0) ** f.alpha
+    got = f(x)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert np.count_nonzero(got) == np.count_nonzero(want)
+
+
 def test_test_function_validation():
     with pytest.raises(DomainError):
         TestFunction.power_part(0.0, alpha=2.5)
