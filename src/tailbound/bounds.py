@@ -422,7 +422,7 @@ def _cubic_finish(x: float, t: float, moments: tuple[float, float, float, float]
     d = t_new - t
     p2 = n2 - d * (2.0 * n1 - d * n0)
     p3 = n3 - d * (3.0 * n2 - d * (3.0 * n1 - d * n0))
-    f_bar = hazard * math.exp(z_max * abs(d) / s)
+    f_bar = hazard * math.exp(min(z_max * abs(d) / s, 700.0))
     r3, r2 = d**4 * f_bar / 4.0, abs(d) ** 3 * f_bar / 3.0
     if not (p2 > 0.0 and r3 <= 2.0**-54 * p3 and r2 <= 2.0**-40 * p2):
         return None

@@ -375,10 +375,10 @@ def _slices(rv: MixtureRV, w: float, alpha: float) -> tuple[
             return gauss(v, mu - w, alpha), e1, e1, e1
         return lambda mu: gauss(v, mu - w, alpha), pair
 
-    def triple(mu: float) -> tuple[float, float, float, float]:
+    def powers(mu: float) -> tuple[float, float, float, float]:
         e2 = gauss(v, mu - w, a2)
         return gauss(v, mu - w, alpha), gauss(v, mu - w, a1), e2, e2
-    return lambda mu: gauss(v, mu - w, alpha), triple
+    return lambda mu: gauss(v, mu - w, alpha), powers
 
 
 def _overflow_is_range_error(fn: Callable) -> Callable:

@@ -239,9 +239,8 @@ def _poisson_log_sums(theta: float, y: float, top: Callable[[float], float],
     most u r / (1 - r) after a term u, by 1e-18 of the sum so far, or once
     the driving weight falls below the smallest normal double (an absolute
     error below 1e-307).  k_lo and k_hi are the last counts each side
-    evaluated.
-    Raises RangeError at the first term that is not a finite double and
-    NumericalError past _TERM_BUDGET / 2 terms on a side.
+    evaluated.  Raises RangeError at the first term that is not a finite
+    double and NumericalError past _TERM_BUDGET / 2 terms on a side.
     """
     peak = _poisson_peak(theta, lambda k: top(y * (k - theta)), k_min, start)
     s0, s1, s2, s3 = at_peak = slices(y * (peak - theta))

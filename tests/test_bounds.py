@@ -320,11 +320,9 @@ _SOLVES = [
 @pytest.mark.parametrize("call,budget", list(zip(_SOLVES, (3, 2, 4))),
                          ids=["pin", "be", "p_alpha_2.5"])
 def test_t_x_solve_walk_budget(monkeypatch, call, budget):
-    # A work gate that holds on any host, at the counts the solve reaches
-    # (Brent over two walks per m(t) took ~20; the Newton solve took 6, 4
-    # and 4 before the finishes): pin ends from its third walk's Taylor
-    # model and be from its second walk's lattice cell; p_alpha at 2.5
-    # keeps its confirming walk.
+    # A work gate that holds on any host, at the counts the solve reaches:
+    # pin ends from its third walk's Taylor model and be from its second
+    # walk's lattice cell; p_alpha at 2.5 keeps its confirming walk.
     walks = _count_walks(monkeypatch)
     call()
     assert 0 < walks[0] <= budget
@@ -353,17 +351,6 @@ def test_later_walks_of_a_solve_take_three_peak_probes(monkeypatch, call):
     call()
     assert probes[0][0] == -1 and len(probes) > 1
     assert all(start >= 0 and n <= 3 for start, n in probes[1:]), probes
-
-
-def _finish_spy(monkeypatch) -> list:
-    """The results of bounds._cubic_finish, None where it declined."""
-    out, finish = [], bounds._cubic_finish
-
-    def spy(*args):
-        out.append(finish(*args))
-        return out[-1]
-    monkeypatch.setattr(bounds, "_cubic_finish", spy)
-    return out
 
 
 @pytest.mark.parametrize("params,x", [
@@ -404,7 +391,12 @@ def test_finished_pin_solve_matches_a_walk_at_its_t(monkeypatch, params, x):
     # the t it returns: N_3 and N_2 agree to the walks' own rounding (two
     # exp(log) roundings, ~|ln N| units of 2^-53 each, and the sums'), and
     # N_2 to its remainder besides.
-    finishes = _finish_spy(monkeypatch)
+    finishes, finish = [], bounds._cubic_finish
+
+    def spy(*args):
+        finishes.append(finish(*args))
+        return finishes[-1]
+    monkeypatch.setattr(bounds, "_cubic_finish", spy)
     rv = BoundParams(*params).mixture()
     t, e3, e2 = bounds._solve_t_x(rv, 3.0, x)
     assert finishes[-1] is not None and finishes[-1][0] == t
@@ -438,12 +430,21 @@ def test_lattice_cell_finish_matches_a_walk_at_its_t(params, x, monkeypatch):
     assert e1 == pytest.approx(w1, rel=slack, abs=0.0)
 
 
+@pytest.mark.parametrize("y,x,want", [(0.1, 1.0, 0.511301423123827),
+                                       (10.0, 20.0, 4.93374536768811e-05)])
+def test_pin_with_a_vanishing_gaussian_part(y, x, want):
+    # v = 1e-9: the finish's density bound e^{z_max |d| / s} leaves the
+    # double range, and the solve walks on.  want is tests/_oracles.py's
+    # p_alpha_mp at 30 digits.
+    value = pin(BoundParams(1.0, y, 1.0 - 1e-9), x).value
+    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("params,x", [((1.0, 1.0, 0.1), 4.0), ((1.0, 1.0, 0.1), 5.0),
                                       ((1.0, 0.5, 0.2), 4.5), ((1.0, 2.0, 0.5), 4.0)])
 def test_pin_with_deep_slices_against_mpmath(params, x):
     # Laws whose heaviest slices sit at z0 in (3, 5), where the closed forms
-    # lost up to 1.3e-11 (pin(1, 1, 0.1; 5) was 1.7e-13 low): the kernel
-    # keeps every digit.
+    # lose up to 1.3e-11 of a slice: the deep-slice kernel keeps the digits.
     rv = BoundParams(*params).mixture()
     want = oracles.p_alpha_mp(rv.v, rv.y, rv.theta, 3.0, x)
     assert pin(BoundParams(*params), x).value == pytest.approx(want, rel=1e-13, abs=0.0)
