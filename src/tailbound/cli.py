@@ -8,7 +8,6 @@ deterministic for fixed flags and seed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
@@ -68,7 +67,9 @@ def run(argv: list[str]) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on the first :func:`run` and
-    kept: parsing leaves it as it was."""
+    kept: parsing leaves it as it was.  argparse loads here, so importing
+    the module does not pay for it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tailbound",
         description="Sharp tail bounds for sums of bounded random variables.")

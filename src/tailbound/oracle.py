@@ -15,13 +15,27 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
-import numpy as np
-
 from .bounds import pu_exp
 from .distributions import BoundParams, TwoPointRV
 from .errors import ConstructionError, DomainError, NumericalError
 from .posmoments import pos_moment
 from .special import _root_in_bracket
+
+
+class _LazyNumpy:
+    """numpy, imported at its first use: a process that imports this
+    module but samples and enumerates nothing, such as a cold start of the
+    command line or of a benchmark workload of bounds, skips numpy's import,
+    the larger part of such a start."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 __all__ = [
     "SumSpec",

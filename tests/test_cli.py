@@ -375,11 +375,14 @@ def test_bound_commands_run_with_numpy_blocked():
 
 
 def test_importing_the_bounds_leaves_numpy_out():
-    # The oracle names of the package load on first use, numpy with them.
+    # The oracle names of the package load on first use, and numpy at the
+    # oracles' first use of it.
     code = ("import sys, tailbound.bounds, tailbound.cli\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-            "from tailbound import mc_tail\n"
-            "assert 'numpy' in sys.modules and mc_tail.__module__ == 'tailbound.oracle'")
+            "from tailbound import BoundParams, extremal_sum_spec, mc_tail\n"
+            "assert 'numpy' not in sys.modules and mc_tail.__module__ == 'tailbound.oracle'\n"
+            "mc_tail(extremal_sum_spec(BoundParams(1.0, 1.0, 0.1), 50), 1.0, 1000, 1)\n"
+            "assert 'numpy' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
