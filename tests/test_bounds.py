@@ -388,9 +388,9 @@ def test_cubic_finish_is_within_its_remainder_of_the_true_moments(params, x, off
 @pytest.mark.parametrize("x", [0.5, 2.0, 4.0, 9.0])
 def test_finished_pin_solve_matches_a_walk_at_its_t(monkeypatch, params, x):
     # A pin solve that ends on the Taylor model, against a direct walk at
-    # the t it returns: N_3 and N_2 agree to the walks' own rounding (two
-    # exp(log) roundings, ~|ln N| units of 2^-53 each, and the sums'), and
-    # N_2 to its remainder besides.
+    # the t it returns: N_3 and N_2 agree to the two walks' own rounding
+    # (their pmf factors, up to ~|ln N| units of 2^-53 each where their
+    # peaks differ, and their sums'), and N_2 to its remainder besides.
     finishes, finish = [], bounds._cubic_finish
 
     def spy(*args):
