@@ -10,21 +10,16 @@ they are.
 """
 
 from .bounds import (EffectiveEpsilon, SummandBudget, TailBoundResult,
-                     alpha_x_split, be, bh, bh_exp, c_const, ca, ea,
-                     effective_epsilon, en, lc3_bound, m_function, p_alpha,
-                     pin, plc_mixture_upper, plc_poisson_tail, pu, pu_exp,
-                     pu_numeric, solve_t_x)
+                     alpha_x_split, be, bh, c_const, ca, ea, effective_epsilon,
+                     en, lc3_bound, p_alpha, pin, plc_mixture_upper, pu, pu_exp,
+                     pu_numeric)
 from .distributions import (BoundParams, MixtureRV, TwoPointRV, mixture_mgf,
-                            mixture_tail, two_point_palpha_closed,
-                            two_point_pinf_closed)
+                            mixture_tail, two_point_palpha_closed)
 from .errors import (ConstructionError, DomainError, NumericalError,
                      RangeError, TailboundError)
-from .posmoments import (PosMomentMethod, SlowDecayWarning,
-                         mixture_shifted_moments, pos_moment,
-                         pos_moment_charfn, pos_moment_laplace,
-                         pos_moment_mixture_series, pos_moment_poisson_local)
-from .special import (bennett_psi, exp_remainder, lambert_w0, lambert_w0_log,
-                      normal_tail, poisson_log_tail, poisson_tail)
+from .posmoments import (PosMomentMethod, SlowDecayWarning, pos_moment,
+                         pos_moment_charfn, pos_moment_laplace)
+from .special import normal_tail, poisson_log_tail, poisson_tail
 
 __version__ = "0.1.0"
 
@@ -46,17 +41,14 @@ __all__ = [
     "__version__",
     "TailboundError", "DomainError", "RangeError", "NumericalError",
     "ConstructionError",
-    "lambert_w0", "lambert_w0_log", "bennett_psi", "poisson_tail",
-    "poisson_log_tail", "normal_tail", "exp_remainder",
+    "poisson_tail", "poisson_log_tail", "normal_tail",
     "BoundParams", "MixtureRV", "TwoPointRV", "mixture_mgf", "mixture_tail",
-    "two_point_palpha_closed", "two_point_pinf_closed",
-    "PosMomentMethod", "SlowDecayWarning", "pos_moment",
-    "pos_moment_mixture_series", "pos_moment_laplace", "pos_moment_charfn",
-    "pos_moment_poisson_local", "mixture_shifted_moments",
+    "two_point_palpha_closed",
+    "PosMomentMethod", "SlowDecayWarning", "pos_moment", "pos_moment_laplace",
+    "pos_moment_charfn",
     "TailBoundResult", "SummandBudget", "EffectiveEpsilon",
-    "bh", "bh_exp", "pu_exp", "pu", "pu_numeric", "m_function", "solve_t_x",
-    "p_alpha", "be", "pin", "ca", "en", "c_const", "plc_poisson_tail",
-    "plc_mixture_upper", "lc3_bound", "effective_epsilon", "ea",
+    "bh", "pu_exp", "pu", "pu_numeric", "p_alpha", "be", "pin", "ca", "en",
+    "c_const", "plc_mixture_upper", "lc3_bound", "effective_epsilon", "ea",
     "alpha_x_split",
     *_ORACLE_NAMES,
 ]

@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple
 
 from .distributions import BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
-from .posmoments import (_SQRT_2PI, PosMomentMethod, _mills_ratios, _pos_moment_walk, _route,
-                         pos_moment)
+from .posmoments import _SQRT_2PI, PosMomentMethod, _mills_ratios, _moments, _route, pos_moment
 from .special import (_ABS_TOL, _MAX_ITER, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
                       bennett_psi, exp_remainder, lambert_w0_log, poisson_log_tail)
 
@@ -250,7 +249,7 @@ def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
 
 def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
     """m(t) = t + E(eta-t)_+^alpha / E(eta-t)_+^{alpha-1}, from one fused
-    moment walk (:func:`tailbound.posmoments._pos_moment_walk`).
+    moment walk (:func:`tailbound.posmoments._moments`).
 
     Strictly increasing in t up to the point where it saturates at the
     supremum of the support; the inverse of t |-> m(t) is what
@@ -258,7 +257,7 @@ def m_function(rv: MixtureRV | TwoPointRV, alpha: float, t: float) -> float:
     """
     if not (alpha > 1.0):
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    num, den = _pos_moment_walk(rv, t, alpha)[:2]
+    num, den = _moments(rv, t, alpha, True)[:2]
     if den <= _ABS_TOL:
         raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
     return t + num / den
@@ -330,7 +329,7 @@ def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
     cubic = alpha == 3.0 and mixture and rv.v > 0.0
     t, t_prev, g_prev, start = min(t, hi), math.nan, math.nan, -1
     for _ in range(_MAX_ITER):
-        n_a, n_b, n_c, n_d, peak, z_max = _pos_moment_walk(rv, t, alpha, start)
+        n_a, n_b, n_c, n_d, peak, z_max = _moments(rv, t, alpha, True, start)
         if n_b <= _ABS_TOL:
             raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
         g = t + n_a / n_b - x

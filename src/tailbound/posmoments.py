@@ -1,17 +1,17 @@
 """Positive-part moments E(X - w)_+^p by three independent routes.
 
 Every generalized-moment tail bound in this package reduces to such moments,
-so they are computed redundantly: a Poisson-count series over Gaussian
-slices, the default for every power p > 0, and two audits that run only
-when forced, a Fourier-Laplace contour integral and a characteristic-function
-inversion.  The routes share no code beyond scalar kernels, which is what
-makes their agreement a meaningful test.
+so they are computed redundantly: one Poisson-count walk over Gaussian
+slices (:func:`_moments`), the default for every law and every power p > 0,
+and two audits that run only when forced, a Fourier-Laplace contour
+integral and a characteristic-function inversion.  The routes share no code
+beyond scalar kernels, which is what makes their agreement a meaningful
+test.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,12 +25,9 @@ from .special import _ABS_TOL, _REL_TOL, normal_tail, _poisson_log_sums, _times_
 __all__ = [
     "PosMomentMethod",
     "SlowDecayWarning",
-    "pos_moment_mixture_series",
     "pos_moment_laplace",
     "pos_moment_charfn",
-    "pos_moment_poisson_local",
     "pos_moment",
-    "mixture_shifted_moments",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -269,30 +266,6 @@ def _mills_power_at_0(p: float) -> float:
     return 2.0 ** (0.5 * (p - 1.0)) * math.gamma(0.5 * (p + 1.0))
 
 
-def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: float) -> float:
-    """E(eta - w)_+^alpha by conditioning on the Poisson count, for any
-    power alpha > 0.
-
-    Each count k contributes pmf(k) * E(sqrt(v) Z + y(k - theta) - w)_+^alpha,
-    the Gaussian slice: closed forms for alpha in {1, 2, 3}
-    (:func:`_gauss_partial_moments`), :func:`_gauss_power_moment` otherwise.
-    The slice (the top slice of :func:`_slices`) is log-concave in k for
-    every alpha > 0 (Prekopa), so the Poisson-count walk
-    :func:`tailbound.special._poisson_log_sums` sums the series outward from
-    its peak with a certified stop, as its one-power case: the slice four
-    times over.
-    """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if rv.v == 0.0:
-        return pos_moment_poisson_local(rv.theta, rv.y, w, float(alpha))
-    top = _slices(rv, w, alpha)[0]
-    if rv.theta == 0.0:
-        return top(0.0)
-    return _times_pmf(*_poisson_log_sums(rv.theta, rv.y, top,
-                                         lambda mu: ((e := top(mu)), e, e, e))[:2])
-
-
 def _gauss_partial_moments(v: float, s: float, mu: float,
                            alpha: int) -> tuple[float, float, float, float]:
     """(E_alpha, E_{alpha-1}, E_{alpha-2}, E_{alpha-3}) for E_p = E(sqrt(v) Z
@@ -347,84 +320,99 @@ def _gauss_partial_moments(v: float, s: float, mu: float,
     raise DomainError(f"alpha must be 1, 2 or 3, got {alpha}")
 
 
-def _slices(rv: MixtureRV, w: float, alpha: float) -> tuple[
+def _slices(rv: MixtureRV, w: float, alpha: float, fused: bool) -> tuple[
         Callable[[float], float], Callable[[float], tuple[float, float, float, float]]]:
-    """(mu |-> the slice of the power alpha, mu |-> the slices of the powers
-    alpha, alpha - 1, alpha - 2 and alpha - 3), a slice being E(sqrt(v) Z +
-    mu - w)_+^p: closed forms and the deep-slice kernel for alpha in {1, 2,
-    3} (:func:`_gauss_partial_moments`), :func:`_gauss_power_moment` per
-    power otherwise, and the powers of (mu - w)_+ themselves for v = 0.  A
-    negative power repeats the last nonnegative one."""
+    """(top, slices), a slice being E(sqrt(v) Z + mu - w)_+^p: top maps mu
+    to the slice of the power alpha, and slices maps mu to the slices of the
+    powers alpha, alpha - 1, alpha - 2 and alpha - 3 when ``fused`` (a
+    negative power repeats the last nonnegative one), else to the top slice
+    four times over.  Closed forms and the deep-slice kernel for alpha in
+    {1, 2, 3} (:func:`_gauss_partial_moments`), :func:`_gauss_power_moment`
+    per power otherwise, and the powers of (mu - w)_+ themselves for v = 0."""
+    v, gauss = rv.v, _gauss_power_moment
+    if v == 0.0:
+        top = lambda mu: max(mu - w, 0.0) ** alpha  # noqa: E731
+    elif alpha in (1, 2, 3):
+        s, n = math.sqrt(v), int(alpha)
+        top = lambda mu: _gauss_partial_moments(v, s, mu - w, n)[0]  # noqa: E731
+    else:
+        top = lambda mu: gauss(v, mu - w, alpha)  # noqa: E731
+    if not fused:
+        return top, lambda mu: ((e := top(mu)), e, e, e)
     a1 = alpha - 1.0
     a2 = alpha - 2.0 if alpha >= 2.0 else a1
     a3 = alpha - 3.0 if alpha >= 3.0 else a2
-    if rv.v == 0.0:
+    if v == 0.0:
         def lattice(mu: float) -> tuple[float, float, float, float]:
             d = mu - w
             return (d**alpha, d**a1, d**a2, d**a3) if d > 0.0 else (0.0, 0.0, 0.0, 0.0)
-        return lambda mu: max(mu - w, 0.0) ** alpha, lattice
-    v = rv.v
+        return top, lattice
     if alpha in (1, 2, 3):
-        s, n = math.sqrt(v), int(alpha)
-        return (lambda mu: _gauss_partial_moments(v, s, mu - w, n)[0],
-                lambda mu: _gauss_partial_moments(v, s, mu - w, n))
-    gauss = _gauss_power_moment
+        return top, lambda mu: _gauss_partial_moments(v, s, mu - w, n)
     if alpha < 2.0:
         def pair(mu: float) -> tuple[float, float, float, float]:
             e1 = gauss(v, mu - w, a1)
             return gauss(v, mu - w, alpha), e1, e1, e1
-        return lambda mu: gauss(v, mu - w, alpha), pair
+        return top, pair
 
     def powers(mu: float) -> tuple[float, float, float, float]:
         e2 = gauss(v, mu - w, a2)
         return gauss(v, mu - w, alpha), gauss(v, mu - w, a1), e2, e2
-    return lambda mu: gauss(v, mu - w, alpha), powers
+    return top, powers
 
 
-def _overflow_is_range_error(fn: Callable) -> Callable:
-    """fn, with an OverflowError of a power, gamma or exp beyond the double
-    range raised as RangeError, the package's typed OverflowError."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RangeError:
-            raise
-        except OverflowError as exc:
-            raise RangeError(f"{fn.__name__}: the result overflows a double ({exc})") from exc
-    return checked
+def _moments(rv: MixtureRV | TwoPointRV, w: float, alpha: float, fused: bool = False,
+             start: int = -1) -> float | tuple[float, float, float, float, int, float]:
+    """E(X - w)_+^alpha, the moment walk: the default route of
+    :func:`pos_moment` for every law and every power alpha > 0.  With
+    ``fused`` (alpha > 1), the tuple (N_alpha, N_{alpha-1}, N_{alpha-2},
+    N_{alpha-3}, peak, z_max), N_p = E(X - w)_+^p, of the t_x solve.
 
-
-@_overflow_is_range_error
-def _pos_moment_walk(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
-                     start: int = -1) -> tuple[float, float, float, float, int, float]:
-    """(N_alpha, N_{alpha-1}, N_{alpha-2}, N_{alpha-3}, peak, z_max) with
-    N_p = E(X - w)_+^p, for alpha > 1: one Poisson-count walk for a mixture
-    (:func:`tailbound.special._poisson_log_sums` over :func:`_slices`, the
-    route :func:`pos_moment` takes by default, its peak search started from
-    ``start``) and the exact sums for a two-point law.  An entry of a
-    negative power is NaN.  peak is the walk's peak count (-1 for a
-    two-point law), and z_max, for a mixture with v > 0, the largest |z0| =
-    |w - mu| / sqrt(v) over the counts the walk evaluated (NaN otherwise).
-    Raises RangeError where a moment overflows a double.
+    A two-point law is the exact two-term sum.  A mixture is one
+    Poisson-count walk, :func:`tailbound.special._poisson_log_sums` over
+    :func:`_slices`: each count k weighs the Gaussian slice at mu = y (k -
+    theta), log-concave in k for every power (Prekopa), from count 0, or on
+    the pure-Poisson lattice (v = 0) from the first count past w, and at
+    count 0 alone for theta = 0.  The fused walk sums the four powers at
+    once, its peak search started from ``start``; the one-power walk is its
+    case with the top slice four times over.  In the tuple an entry of a
+    negative power is NaN, peak is the walk's peak count (-1 where no walk
+    runs), and z_max, for a mixture with v > 0, the largest |z0| = |w - mu|
+    / sqrt(v) over the counts the walk evaluated (NaN otherwise).  Raises
+    RangeError where a moment overflows a double.
     """
-    peak, z_max = -1, math.nan
-    if isinstance(rv, TwoPointRV):
-        out = tuple(_two_point_exact(rv, w, alpha - i) for i in range(4) if alpha >= i)
-    else:
-        y, theta = rv.y, rv.theta
-        top, slices = _slices(rv, w, alpha)
-        if theta == 0.0:
-            out, k_lo, k_hi = slices(0.0), 0, 0
+    # A power raises OverflowError past the double range, and the walk
+    # raises RangeError at a term that is not finite, so only the closed
+    # forms of a lone slice, which overflow by products, need a check.
+    try:
+        peak = -1
+        if isinstance(rv, TwoPointRV):
+            if not fused:
+                return _two_point_exact(rv, w, alpha)
+            out = [_two_point_exact(rv, w, alpha - i) for i in range(4) if alpha >= i]
         else:
-            k_min = max(0, math.floor(w / y + theta) + 1) if rv.v == 0.0 else 0
-            log_pmf, *sums, peak, k_lo, k_hi = _poisson_log_sums(theta, y, top, slices, k_min,
-                                                                 start)
-            out = tuple(_times_pmf(log_pmf, e) for e in sums)
-        if rv.v > 0.0:
-            z_max = max(abs(w - y * (k_lo - theta)), abs(w - y * (k_hi - theta))) / math.sqrt(rv.v)
-    if not all(math.isfinite(e) for e in out):
-        raise RangeError(f"E(X - {w})_+^{alpha} overflows a double")
+            y, theta = rv.y, rv.theta
+            top, slices = _slices(rv, w, alpha, fused)
+            if theta == 0.0:
+                out, k_lo, k_hi = slices(0.0), 0, 0
+                if not all(map(math.isfinite, out)):
+                    raise RangeError(f"E(X - {w})_+^{alpha} overflows a double")
+                if not fused:
+                    return out[0]
+            else:
+                k_min = max(0, math.floor(w / y + theta) + 1) if rv.v == 0.0 else 0
+                log_pmf, *sums, peak, k_lo, k_hi = _poisson_log_sums(theta, y, top, slices,
+                                                                     k_min, start)
+                if not fused:
+                    return _times_pmf(log_pmf, sums[0])
+                out = [_times_pmf(log_pmf, e) for e in sums]
+    except RangeError:
+        raise
+    except OverflowError as exc:
+        raise RangeError(f"E(X - {w})_+^{alpha} overflows a double ({exc})") from exc
+    z_max = math.nan
+    if isinstance(rv, MixtureRV) and rv.v > 0.0:
+        z_max = max(abs(w - y * (k_lo - theta)), abs(w - y * (k_hi - theta))) / math.sqrt(rv.v)
     return (*(out[i] if alpha >= i else math.nan for i in range(4)), peak, z_max)
 
 
@@ -601,31 +589,6 @@ def pos_moment_charfn(cf: Callable[[float], complex], moments: Sequence[float],
     return _clamp_nonneg(value, err_total, "pos_moment_charfn")
 
 
-def pos_moment_poisson_local(theta: float, y: float, w: float,
-                             alpha: float) -> float:
-    """E(y (Pois(theta) - theta) - w)_+^alpha by direct lattice summation.
-
-    Only counts k with y (k - theta) > w contribute, so the sum starts at
-    k0 = floor(w/y + theta) + 1; (y (k - theta) - w)^alpha is log-concave
-    there, so the Poisson-count walk
-    :func:`tailbound.special._poisson_log_sums` applies, as its one-power
-    case, and fractional alpha costs nothing.
-    """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if theta < 0.0:
-        raise DomainError(f"theta must be >= 0, got {theta}")
-    if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
-    if theta == 0.0:
-        return max(-w, 0.0) ** alpha
-
-    def top(mu: float) -> float:
-        return max(mu - w, 0.0) ** alpha
-    return _times_pmf(*_poisson_log_sums(theta, y, top, lambda mu: ((e := top(mu)), e, e, e),
-                                         max(0, math.floor(w / y + theta) + 1))[:2])
-
-
 # Cumulants of the mixture: kappa_2 = v + y^2 theta, kappa_m = y^m theta
 # for m >= 3 (the Gaussian part only contributes at order two).
 def mixture_shifted_moments(rv: MixtureRV, w: float, upto: int = 6) -> list[float]:
@@ -661,11 +624,11 @@ def _two_point_exact(rv: TwoPointRV, w: float, alpha: float) -> float:
 
 def _route(rv: MixtureRV | TwoPointRV, alpha: float,
            method: PosMomentMethod | None = None) -> str:
-    """The route :func:`pos_moment` takes: "exact" for two-point laws
-    unless a contour route is forced (a forced series is the exact sum),
-    otherwise the tag of ``method`` when one is forced, "poisson-local" for
-    pure-Poisson mixtures (v = 0) and "series" for every other mixture and
-    every power.  The contour routes run only when forced, as audits."""
+    """The route :func:`pos_moment` takes, as results report it: the tag of
+    ``method`` when a contour route is forced, as an audit, and otherwise
+    the moment walk :func:`_moments` (a forced series too), named "exact"
+    for a two-point law, "poisson-local" for a pure-Poisson mixture (v = 0)
+    and "series" for every other mixture and every power."""
     if isinstance(rv, TwoPointRV) and (method is None or method.tag == "series"):
         return "exact"
     if method is not None:
@@ -673,52 +636,60 @@ def _route(rv: MixtureRV | TwoPointRV, alpha: float,
     return "poisson-local" if rv.v == 0.0 else "series"
 
 
-@_overflow_is_range_error
 def pos_moment(rv: MixtureRV | TwoPointRV, w: float, alpha: float,
                method: PosMomentMethod | None = None) -> float:
-    """E(X - w)_+^alpha for a supported law, routed by family and power.
+    """E(X - w)_+^alpha for a supported law and every power alpha > 0.
 
-    Two-point laws use the exact two-term sum.  Mixtures default to the
-    Poisson-local sum when purely Poisson (v = 0) and to the Gaussian-slice
-    series otherwise, for every power.  Pass ``method`` to force a route:
-    the Laplace contour integral (abscissa s = ln(1+y)/y) and the
-    characteristic-function inversion are audits of the series.
+    By default, and for a forced series, the moment walk :func:`_moments`:
+    the exact two-term sum for a two-point law and the Poisson-count series
+    over Gaussian slices for a mixture, over the lattice itself when it is
+    purely Poisson (v = 0).  Pass ``method`` to force an audit of it: the
+    Laplace contour integral (abscissa s = ln(1+y)/y) or the
+    characteristic-function inversion.  Raises RangeError where the moment
+    overflows a double.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not isinstance(rv, (MixtureRV, TwoPointRV)):
         raise DomainError(f"unsupported law {type(rv).__name__}")
-    route = _route(rv, alpha, method)
-    if route == "exact":
-        return _two_point_exact(rv, w, alpha)
-    if isinstance(rv, TwoPointRV):
-        return _two_point_integral(rv, w, alpha, method)
-    if route == "poisson-local":
-        return pos_moment_poisson_local(rv.theta, rv.y, w, alpha)
-    if route == "series":
-        return pos_moment_mixture_series(rv, w, alpha)
-    if route == "laplace":
-        return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha,
-                                  _default_abscissa(rv.y), gauss_var=rv.v)
-    moments = mixture_shifted_moments(rv, w, upto=6)
-    return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
-                             moments, w, alpha)
+    if method is None or method.tag == "series":
+        return _moments(rv, w, alpha)
+    try:
+        return _audit(rv, w, alpha, method.tag)
+    except RangeError:
+        raise
+    except OverflowError as exc:
+        raise RangeError(f"E(X - {w})_+^{alpha} overflows a double ({exc})") from exc
 
 
-def _default_abscissa(y: float) -> float:
-    return math.log1p(y) / y
-
-
-def _two_point_integral(rv: TwoPointRV, w: float, alpha: float,
-                        method: PosMomentMethod) -> float:
+def _audit(rv: MixtureRV | TwoPointRV, w: float, alpha: float, tag: str) -> float:
+    """E(X - w)_+^alpha by the forced contour route ``tag``, "laplace" (at
+    the abscissa s = ln(1+y)/y, y the jump size: b for a two-point law) or
+    "charfn"."""
+    if isinstance(rv, MixtureRV):
+        if tag == "laplace":
+            return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha,
+                                      math.log1p(rv.y) / rv.y, gauss_var=rv.v)
+        return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
+                                 mixture_shifted_moments(rv, w, upto=6), w, alpha)
     pn, pp = rv.prob_neg, rv.prob_pos
     a, b = rv.a, rv.b
-    if method.tag == "laplace":
+    if tag == "laplace":
         return pos_moment_laplace(lambda z: pn * cmath.exp(-z * a) + pp * cmath.exp(z * b),
-                                  w, alpha, _default_abscissa(b))
+                                  w, alpha, math.log1p(b) / b)
     moments = [pn * (-a - w) ** m + pp * (b - w) ** m for m in range(7)]
 
     def cf(t: float) -> complex:
         return pn * cmath.exp(complex(0.0, -t * a)) + pp * cmath.exp(complex(0.0, t * b))
 
     return pos_moment_charfn(cf, moments, w, alpha)
+
+
+# The entry points that the moment walk replaced, kept only as names that
+# benchmark/tracing.py wraps; ROADMAP item 1 retires them.
+def pos_moment_mixture_series(rv: MixtureRV, w: float, alpha: float) -> float:
+    return pos_moment(rv, w, alpha)
+
+
+def pos_moment_poisson_local(theta: float, y: float, w: float, alpha: float) -> float:
+    return pos_moment(MixtureRV(0.0, y, theta), w, alpha)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from tailbound.posmoments import _pos_moment_walk
+from tailbound.posmoments import _moments
 from tailbound import (
     BoundParams,
     DomainError,
@@ -23,7 +23,6 @@ from tailbound import (
     TwoPointRV,
     alpha_x_split,
     bh,
-    bh_exp,
     be,
     bounds,
     ca,
@@ -32,19 +31,17 @@ from tailbound import (
     effective_epsilon,
     en,
     lc3_bound,
-    m_function,
     mixture_tail,
     p_alpha,
     pin,
     plc_mixture_upper,
-    plc_poisson_tail,
     poisson_tail,
     pos_moment,
     pu,
     pu_exp,
     pu_numeric,
-    solve_t_x,
 )
+from tailbound.bounds import bh_exp, m_function, plc_poisson_tail, solve_t_x
 
 P_HALF = BoundParams(1.0, 1.0, 0.5)
 P_SMALL = BoundParams(1.0, 1.0, 0.1)
@@ -291,8 +288,8 @@ def test_pin_bracket_without_sign_change_is_numerical_error(monkeypatch):
     # Moments whose m(t) = t + N_3/N_2 stays at t, below x, leave no sign
     # change on the t_x bracket, so the solve fails at its right end; that
     # is a numerical failure, not bad input.
-    monkeypatch.setattr(bounds, "_pos_moment_walk",
-                        lambda rv, w, alpha, start=-1: (0.0, 1.0, 1.0, 1.0, -1, math.nan))
+    monkeypatch.setattr(bounds, "_moments",
+                        lambda rv, w, alpha, fused, start=-1: (0.0, 1.0, 1.0, 1.0, -1, math.nan))
     with pytest.raises(NumericalError):
         pin(BoundParams(1.0, 0.1, 0.1), 35.0)
 
@@ -371,7 +368,7 @@ def test_cubic_finish_is_within_its_remainder_of_the_true_moments(params, x, off
     with mpmath.workdps(30):
         n3, n2, n1, n0 = (float(mp_moment(t, p)) for p in (3, 2, 1, 0))
     step = -(t + n3 / n2 - x) / (2.0 * (n3 / n2) * (n1 / n2) - 2.0)
-    z_max = _pos_moment_walk(rv, t, 3.0)[5]
+    z_max = _moments(rv, t, 3.0, True)[5]
     done = bounds._cubic_finish(x, t, (n3, n2, n1, n0), z_max, math.sqrt(rv.v), step, 1e-13)
     assert done is not None
     t_fin, e3, e2 = done
@@ -400,7 +397,7 @@ def test_finished_pin_solve_matches_a_walk_at_its_t(monkeypatch, params, x):
     rv = BoundParams(*params).mixture()
     t, e3, e2 = bounds._solve_t_x(rv, 3.0, x)
     assert finishes[-1] is not None and finishes[-1][0] == t
-    w3, w2 = _pos_moment_walk(rv, t, 3.0)[:2]
+    w3, w2 = _moments(rv, t, 3.0, True)[:2]
     slack = (4.0 + 2.0 * abs(math.log(w3)) + 32.0) * 2.0**-53
     assert e3 >= w3 * (1.0 - slack)
     assert e3 == pytest.approx(w3, rel=slack, abs=0.0)
@@ -422,7 +419,7 @@ def test_lattice_cell_finish_matches_a_walk_at_its_t(params, x, monkeypatch):
     edge = rv.y * (math.floor(t / rv.y + rv.theta) - rv.theta)
     assert edge < t < edge + rv.y
     n = walks[0]
-    w2, w1 = _pos_moment_walk(rv, t, 2.0)[:2]
+    w2, w1 = _moments(rv, t, 2.0, True)[:2]
     assert walks[0] == n + 1
     theta = rv.theta
     slack = 16 * 2.0**-52 * (theta * (1.0 + abs(math.log(theta))) + abs(math.log(w2)) + 10.0)

@@ -21,8 +21,8 @@ from tailbound import (
     poisson_tail,
     pu_exp,
     two_point_palpha_closed,
-    two_point_pinf_closed,
 )
+from tailbound.distributions import two_point_pinf_closed
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 

@@ -18,18 +18,16 @@ from tailbound import (
     SlowDecayWarning,
     TwoPointRV,
     mixture_mgf,
-    mixture_shifted_moments,
     pos_moment,
     pos_moment_charfn,
     pos_moment_laplace,
-    pos_moment_mixture_series,
-    pos_moment_poisson_local,
     posmoments,
 )
 from tailbound.bounds import p_alpha
 from tailbound.oracle import hp_counterexample_gap
 from tailbound.posmoments import _gauss_partial_moments, _gauss_power_moment, _mills_power
-from tailbound.posmoments import _MILLS_EDGES, _MILLS_RHO4, _mills_ratios, _pos_moment_walk
+from tailbound.posmoments import _MILLS_EDGES, _MILLS_RHO4, _mills_ratios, _moments
+from tailbound.posmoments import _route, mixture_shifted_moments
 from tailbound import mixture_tail, poisson_tail
 
 MIX = MixtureRV(0.9, 1.0, 0.1)
@@ -133,7 +131,7 @@ def test_gauss_partial_moment_degenerate():
     (MixtureRV(1.0, 2.0, 0.05), 2.0),
 ])
 def test_series_against_quadrature(rv, w, alpha):
-    got = pos_moment_mixture_series(rv, w, alpha)
+    got = pos_moment(rv, w, alpha)
     ref = oracles.mixture_pos_moment_quad(rv.v, rv.y, rv.theta, w, float(alpha))
     assert got == pytest.approx(ref, rel=1e-9)
 
@@ -151,34 +149,22 @@ def test_series_deep_shift_against_mpmath(w, want):
 
 def test_series_pure_gaussian_slice():
     rv = MixtureRV(1.44, 1.0, 0.0)
-    assert pos_moment_mixture_series(rv, 0.3, 2) == pytest.approx(
+    assert pos_moment(rv, 0.3, 2) == pytest.approx(
         _gauss_partial_moments(1.44, math.sqrt(1.44), -0.3, 2)[0], rel=1e-14)
-
-
-def test_series_delegates_pure_poisson():
-    rv = MixtureRV(0.0, 0.5, 2.0)
-    assert pos_moment_mixture_series(rv, 0.4, 3) == pytest.approx(
-        pos_moment_poisson_local(2.0, 0.5, 0.4, 3.0), rel=1e-14)
-
-
-def test_series_rejects_bad_alpha():
-    for alpha in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            pos_moment_mixture_series(MIX, 0.0, alpha)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=0.1, max_value=4.9))
 def test_series_decreasing_in_w(w, dw):
-    hi = pos_moment_mixture_series(MIX, w, 3)
-    lo = pos_moment_mixture_series(MIX, w + dw, 3)
+    hi = pos_moment(MIX, w, 3)
+    lo = pos_moment(MIX, w + dw, 3)
     assert lo <= hi * (1.0 + 1e-12) + 1e-300
 
 
 def test_poisson_local_full_mass_shift():
     # w = -10 puts the whole lattice in the positive part, so the moment
     # collapses to E X + 10 = 10 exactly.
-    assert pos_moment_poisson_local(1.0, 1.0, -10.0, 1.0) == \
+    assert pos_moment(MixtureRV(0.0, 1.0, 1.0), -10.0, 1.0) == \
         pytest.approx(10.0, rel=1e-12)
 
 
@@ -190,24 +176,13 @@ def test_poisson_local_full_mass_shift():
     (0.1, 2.0, 1.0, 4.5),
 ])
 def test_poisson_local_against_brute_force(theta, y, w, alpha):
-    got = pos_moment_poisson_local(theta, y, w, alpha)
+    got = pos_moment(MixtureRV(0.0, y, theta), w, alpha)
     ref = oracles.poisson_pos_moment_direct(theta, y, w, alpha)
     assert got == pytest.approx(ref, rel=1e-10)
 
 
-def test_poisson_local_edges():
-    assert pos_moment_poisson_local(0.0, 1.0, -2.0, 3.0) == 8.0
-    assert pos_moment_poisson_local(0.0, 1.0, 2.0, 3.0) == 0.0
-    with pytest.raises(DomainError):
-        pos_moment_poisson_local(-0.1, 1.0, 0.0, 2.0)
-    with pytest.raises(DomainError):
-        pos_moment_poisson_local(1.0, 0.0, 0.0, 2.0)
-    with pytest.raises(DomainError):
-        pos_moment_poisson_local(1.0, 1.0, 0.0, 0.0)
-
-
 def test_laplace_matches_series_at_default_abscissa():
-    ser = pos_moment_mixture_series(MIX, 2.0, 3)
+    ser = pos_moment(MIX, 2.0, 3)
     lap = pos_moment_laplace(_mgf(MIX), 2.0, 3.0, math.log(2.0))
     assert lap == pytest.approx(ser, rel=1e-9)
 
@@ -241,7 +216,7 @@ def test_charfn_matches_series():
     moms = mixture_shifted_moments(MIX, 1.0, upto=6)
     got = pos_moment_charfn(lambda t: mixture_mgf(MIX, complex(0.0, t)),
                             moms, 1.0, 3.0)
-    assert got == pytest.approx(pos_moment_mixture_series(MIX, 1.0, 3), rel=1e-6)
+    assert got == pytest.approx(pos_moment(MIX, 1.0, 3), rel=1e-6)
 
 
 def test_charfn_fractional_power():
@@ -324,9 +299,13 @@ def test_dispatcher_two_point_charfn_cross_check():
 
 
 def test_dispatcher_pure_poisson_routes_to_local():
+    # A pure-Poisson mixture (v = 0) is reported as the lattice sum, and its
+    # moment is the brute-force lattice sum.
     rv = MixtureRV(0.0, 0.5, 2.0)
-    assert pos_moment(rv, 0.4, 2.5) == pytest.approx(
-        pos_moment_poisson_local(2.0, 0.5, 0.4, 2.5), rel=1e-14)
+    for alpha in (2.5, 3.0):
+        assert _route(rv, alpha) == "poisson-local"
+        assert pos_moment(rv, 0.4, alpha) == pytest.approx(
+            oracles.poisson_pos_moment_direct(2.0, 0.5, 0.4, alpha), rel=1e-12)
 
 
 def test_dispatcher_fractional_routes_to_series():
@@ -366,10 +345,9 @@ def test_default_route_runs_no_quadrature(monkeypatch):
 
 
 def test_dispatcher_rejects_bad_alpha():
-    with pytest.raises(DomainError):
-        pos_moment(MIX, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        pos_moment(MIX, 0.0, math.inf)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pos_moment(MIX, 0.0, alpha)
     with pytest.raises(DomainError):
         pos_moment(MIX, 0.0, -1.0, PosMomentMethod.series())
     assert pos_moment(MIX, 0.0, 2.5, PosMomentMethod.series()) == pos_moment(MIX, 0.0, 2.5)
@@ -446,7 +424,7 @@ def test_pos_moment_triple_matches_the_scalar_sums(law, sigma, log10_y, eps, shi
     params = BoundParams(sigma, 10.0**log10_y, eps)
     rv = params.mixture() if kind == "mixture" else params.bentkus()
     w = shift * sigma
-    got = _pos_moment_walk(rv, w, alpha)
+    got = _moments(rv, w, alpha, True)
     for power, value in zip((alpha, alpha - 1.0, alpha - 2.0), got):
         if power > 0.0:
             want = pos_moment(rv, w, power)
@@ -490,3 +468,11 @@ def test_one_power_walk_fails_fast_on_overflow(monkeypatch):
     with pytest.raises(RangeError):
         pos_moment(BoundParams(1e110, 1e110, 0.5).mixture(), 0.0, 3)
     assert 0 < calls[0] < 100
+
+
+@pytest.mark.parametrize("w", [-1e103, -1e110])
+def test_lone_slice_overflow_is_range_error(w):
+    # At theta = 0 the moment is one Gaussian slice, whose cubic closed form
+    # overflows by products, not by a power: a RangeError, not inf.
+    with pytest.raises(RangeError):
+        pos_moment(MixtureRV(1.0, 1.0, 0.0), w, 3)

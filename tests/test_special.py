@@ -9,17 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from tailbound import (
-    DomainError,
-    NumericalError,
-    bennett_psi,
-    exp_remainder,
-    lambert_w0,
-    lambert_w0_log,
-    normal_tail,
-    poisson_log_tail,
-    poisson_tail,
-)
+from tailbound import DomainError, NumericalError, normal_tail, poisson_log_tail, poisson_tail
+from tailbound.special import bennett_psi, exp_remainder, lambert_w0, lambert_w0_log
 from tailbound.posmoments import _gauss_partial_moments
 from tailbound.special import _root_in_bracket
 from tailbound import RangeError
