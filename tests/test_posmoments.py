@@ -28,6 +28,7 @@ from tailbound.oracle import hp_counterexample_gap
 from tailbound.posmoments import _gauss_partial_moments, _gauss_power_moment, _mills_power
 from tailbound.posmoments import _MILLS_EDGES, _MILLS_RHO4, _mills_ratios, _moments
 from tailbound.posmoments import _route, mixture_shifted_moments
+from tailbound.posmoments import pos_moment_mixture_series, pos_moment_poisson_local
 from tailbound import mixture_tail, poisson_tail
 
 MIX = MixtureRV(0.9, 1.0, 0.1)
@@ -151,6 +152,21 @@ def test_series_pure_gaussian_slice():
     rv = MixtureRV(1.44, 1.0, 0.0)
     assert pos_moment(rv, 0.3, 2) == pytest.approx(
         _gauss_partial_moments(1.44, math.sqrt(1.44), -0.3, 2)[0], rel=1e-14)
+
+
+def test_series_delegates_pure_poisson():
+    # The kept names both land on the lattice sum for a pure-Poisson law.
+    rv = MixtureRV(0.0, 0.5, 2.0)
+    got = pos_moment_mixture_series(rv, 0.4, 3)
+    assert got == pytest.approx(pos_moment_poisson_local(2.0, 0.5, 0.4, 3.0), rel=1e-14)
+    assert got == pytest.approx(
+        oracles.poisson_pos_moment_direct(2.0, 0.5, 0.4, 3.0), rel=1e-12)
+
+
+def test_series_rejects_bad_alpha():
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pos_moment_mixture_series(MIX, 0.0, alpha)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
