@@ -21,9 +21,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .distributions import BoundParams, MixtureRV, TwoPointRV
+from .distributions import _EXP_GUARD, BoundParams, MixtureRV, TwoPointRV
 from .errors import DomainError, NumericalError, RangeError
-from .posmoments import _SQRT_2PI, PosMomentMethod, _mills_ratios, _moments, _route, pos_moment
+from .posmoments import _SQRT2, _SQRT_2PI, _mills_ratios, _moments, _route
 from .special import (_ABS_TOL, _MAX_ITER, _TERM_BUDGET, _poisson_logpmf, _root_in_bracket,
                       bennett_psi, exp_remainder, lambert_w0_log, poisson_log_tail)
 
@@ -32,7 +32,6 @@ __all__ = [
     "SummandBudget",
     "EffectiveEpsilon",
     "bh",
-    "bh_exp",
     "pu_exp",
     "pu",
     "pu_numeric",
@@ -44,7 +43,6 @@ __all__ = [
     "ca",
     "en",
     "c_const",
-    "plc_poisson_tail",
     "plc_mixture_upper",
     "lc3_bound",
     "effective_epsilon",
@@ -52,10 +50,8 @@ __all__ = [
     "alpha_x_split",
 ]
 
-_MAX_EXP_ARG = 700.0
 # m(0) = E Z_+^3 / E Z_+^2 = 4 phi(0) for the standard normal Z.
 _FOUR_PHI0 = 4.0 / _SQRT_2PI
-_SQRT2 = math.sqrt(2.0)
 # The standard normal law, whose t_x seeds every other solve.
 _STD_NORMAL = MixtureRV(1.0, 1.0, 0.0)
 
@@ -104,7 +100,7 @@ class EffectiveEpsilon(NamedTuple):
 
 
 def _scale_free(power: int, nonneg_x: bool = True) -> Callable[[Callable], Callable]:
-    """Runs a bound(params, x, ...) at sigma = 1, on BoundParams(1, y/sigma,
+    """Runs a bound(params, x) at sigma = 1, on BoundParams(1, y/sigma,
     eps) and x/sigma, after checking x (x >= 0, or finite x only where
     ``nonneg_x`` is false).  The bounds are scale-equivariant, and at sigma
     = 1 no power of sigma leaves the double range.  A TailBoundResult's
@@ -113,13 +109,13 @@ def _scale_free(power: int, nonneg_x: bool = True) -> Callable[[Callable], Calla
     sigma = 1 no bit changes: dividing by 1.0 is exact."""
     def wrap(bound: Callable) -> Callable:
         @functools.wraps(bound)
-        def at_unit_sigma(params: BoundParams, x: float, *args, **kwargs):
+        def at_unit_sigma(params: BoundParams, x: float):
             (_check_nonneg_x if nonneg_x else _check_finite_x)(x)
             s = params.sigma
             r, xi = params.y / s, x / s
             if not (0.0 < r < math.inf and math.isfinite(xi)):
                 raise RangeError(f"y / sigma = {r} or x / sigma = {xi} leaves the double range")
-            out = bound(BoundParams(1.0, r, params.eps), xi, *args, **kwargs)
+            out = bound(BoundParams(1.0, r, params.eps), xi)
             if isinstance(out, TailBoundResult):  # a fresh result, as __post_init__ sets it
                 opt = out.optimizer * s if power > 0 else out.optimizer / s
                 object.__setattr__(out, "optimizer", opt)
@@ -139,19 +135,6 @@ def bh(sigma: float, y: float, x: float) -> TailBoundResult:
     return TailBoundResult(value, lam, "closed-form")
 
 
-def bh_exp(sigma: float, y: float, lam: float) -> float:
-    """The Bennett bound on E exp(lam S): exp((e^{lam y} - 1 - lam y)
-    sigma^2 / y^2)."""
-    _check_pos("sigma", sigma)
-    _check_pos("y", y)
-    if not (lam >= 0.0):
-        raise DomainError(f"lambda must be >= 0, got {lam}")
-    u = lam * y
-    if u > _MAX_EXP_ARG:
-        raise RangeError(f"lambda*y = {u} overflows the exponential bound")
-    return math.exp((sigma / y) ** 2 * exp_remainder(1, u))
-
-
 def pu_exp(params: BoundParams, lam: float) -> float:
     """E exp(lam eta) for the comparison mixture: the Gaussian factor
     exp(lam^2 (1-eps) sigma^2 / 2) times the centered-Poisson factor
@@ -159,35 +142,33 @@ def pu_exp(params: BoundParams, lam: float) -> float:
     Scale-free: computed on l = lam sigma and r = y / sigma, with theta
     e_1(l r) = eps l^2 g(l r), g(u) = e_1(u) / u^2 (:func:`_e1_over_square`),
     so it stays finite where theta = eps / r^2 overflows."""
+    return math.exp(_pu_log_exp(params, lam))
+
+
+def _pu_log_exp(params: BoundParams, lam: float) -> float:
+    """log pu_exp(lam), finite up to lam y = 700."""
     if not (lam >= 0.0):
         raise DomainError(f"lambda must be >= 0, got {lam}")
     l, r, eps = lam * params.sigma, params.y / params.sigma, params.eps
     if not (math.isfinite(l) and 0.0 < r < math.inf):
         raise RangeError(f"lambda sigma = {l} or y / sigma = {r} leaves the double range")
     u = l * r
-    if u > _MAX_EXP_ARG:
+    if u > _EXP_GUARD:
         raise RangeError(f"lambda*y = {u} overflows the exponential bound")
-    return math.exp(0.5 * l * l * (1.0 - eps) + eps * l * l * _e1_over_square(u))
+    return 0.5 * l * l * (1.0 - eps) + eps * l * l * _e1_over_square(u)
 
 
 def _e1_over_square(u: float) -> float:
     """g(u) = (e^u - 1 - u) / u^2 for u >= 0: below u = 1e-2 its Taylor
     series sum_{m >= 2} u^{m-2} / m!, eight terms (the rest is below 1e-22
-    of the sum), and exp_remainder(1, u) / u^2 above."""
+    of the sum), and exp_remainder(u) / u^2 above."""
     if u >= 1e-2:
-        return exp_remainder(1, u) / (u * u)
+        return exp_remainder(u) / (u * u)
     out, term = 0.0, 0.5
     for m in range(3, 11):
         out += term
         term *= u / m
     return out
-
-
-def _pu_exponent(params: BoundParams, lam: float, x: float) -> float:
-    s2, y, eps = params.sigma**2, params.y, params.eps
-    u = lam * y
-    return (-lam * x + 0.5 * lam * lam * (1.0 - eps) * s2
-            + eps * s2 / (y * y) * exp_remainder(1, u))
 
 
 @_scale_free(-1)
@@ -227,23 +208,22 @@ def pu_numeric(params: BoundParams, x: float) -> TailBoundResult:
     """inf_lam e^{-lam x} pu_exp(lam) by direct root-finding on the
     derivative; the independent check of :func:`pu`.
 
-    The derivative -x + lam (1-eps) sigma^2 + eps sigma^2 (e^{lam y}-1)/y
-    is strictly increasing, so a sign-changing bracket pins the optimizer.
+    The derivative -x + lam (1-eps) + eps (e^{lam y}-1)/y at sigma = 1 is
+    strictly increasing, so a sign-changing bracket pins the optimizer.
     """
     if x == 0.0:
         return TailBoundResult(1.0, 0.0, "root-solve")
-    s2, y, eps = params.sigma**2, params.y, params.eps
+    y, eps = params.y, params.eps
 
     def deriv(lam: float) -> float:
-        return (-x + lam * (1.0 - eps) * s2
-                + eps * s2 / y * exp_remainder(0, lam * y))
+        return -x + lam * (1.0 - eps) + eps / y * math.expm1(lam * y)
 
     hi = 1.0 / y
-    cap = (_MAX_EXP_ARG - 10.0) / y
+    cap = (_EXP_GUARD - 10.0) / y
     while deriv(hi) < 0.0 and hi < cap:
         hi = min(2.0 * hi, cap)
     lam = _root_in_bracket(deriv, 0.0, hi, rtol=1e-14)
-    value = math.exp(min(_pu_exponent(params, lam, x), 0.0))
+    value = math.exp(min(-lam * x + _pu_log_exp(params, lam), 0.0))
     return TailBoundResult(value, lam, "root-solve")
 
 
@@ -441,15 +421,14 @@ def _gauss_seed(alpha: float, x: float, sd: float) -> float:
     return sd * _newton_t_x(_STD_NORMAL, alpha, u, 1.0, u0)[0]
 
 
-def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
-            method: PosMomentMethod | None = None) -> TailBoundResult:
+def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> TailBoundResult:
     """The generalized-moment tail bound
 
         P_alpha(eta; x) = inf_{t < x} E(eta - t)_+^alpha / (x - t)^alpha.
 
     Equals 1 at and below the mean, the atom mass at and beyond the support
     supremum, and otherwise is the ratio at the t_x of :func:`_solve_t_x`,
-    with the moments of its last walk (or of the route ``method`` forces).
+    with the moments of its last walk.
     That ratio bounds P(eta >= x) whatever the root error, and a root error
     moves it only at second order.  The equivalent expression
     (E(eta-t_x)_+^{alpha-1})^alpha / (E(eta-t_x)_+^alpha)^{alpha-1}, exact
@@ -465,9 +444,6 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
         atom = rv.prob_pos if (isinstance(rv, TwoPointRV) and x == x_star) else 0.0
         return TailBoundResult(atom, math.nan, "boundary")
     t_x, e_hi, e_lo = _solve_t_x(rv, alpha, x)
-    if method is not None:
-        e_hi = pos_moment(rv, t_x, alpha, method=method)
-        e_lo = pos_moment(rv, t_x, alpha - 1.0, method=method)
     value = e_hi / (x - t_x) ** alpha
     # Same quantity written without x, exact when m(t_x) = x holds exactly.
     if e_hi > 0.0 and e_lo > 0.0:
@@ -475,23 +451,20 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
     else:
         alt = value
     value = min(value, 1.0)
-    return TailBoundResult(value, t_x, _route(rv, alpha, method),
-                           err_estimate=abs(value - alt))
+    return TailBoundResult(value, t_x, _route(rv), err_estimate=abs(value - alt))
 
 
 @_scale_free(1)
-def be(params: BoundParams, x: float,
-       method: PosMomentMethod | None = None) -> TailBoundResult:
+def be(params: BoundParams, x: float) -> TailBoundResult:
     """Bentkus bound: P_2 of the scaled centered Poisson with the full
     variance budget, y tilde-Pi_{sigma^2/y^2}."""
-    return p_alpha(params.bentkus(), 2.0, x, method=method)
+    return p_alpha(params.bentkus(), 2.0, x)
 
 
 @_scale_free(1)
-def pin(params: BoundParams, x: float,
-        method: PosMomentMethod | None = None) -> TailBoundResult:
+def pin(params: BoundParams, x: float) -> TailBoundResult:
     """The class-F3 bound: P_3 of the Gaussian-plus-Poisson mixture."""
-    return p_alpha(params.mixture(), 3.0, x, method=method)
+    return p_alpha(params.mixture(), 3.0, x)
 
 
 def ca(sigma: float, x: float) -> float:
@@ -528,28 +501,6 @@ def c_const(alpha: float, beta: float) -> float:
     num = math.gamma(alpha + 1.0) * (math.e / alpha) ** alpha
     den = 1.0 if beta == 0.0 else math.gamma(beta + 1.0) * (math.e / beta) ** beta
     return num / den
-
-
-def plc_poisson_tail(theta: float, u: float) -> float:
-    """Least log-concave majorant of u |-> P(Pois(theta) >= u).
-
-    Geometric interpolation of the tail between consecutive integers:
-    with j = ceil(u - 1), P(>= j)^{j+1-u} P(>= j+1)^{u-j}.  Coincides with
-    the tail at integer u and is 1 for u <= 0.
-    """
-    _check_pos("theta", theta)
-    if not math.isfinite(u):
-        raise DomainError(f"u must be finite, got {u}")
-    if u <= 0.0:
-        return 1.0
-    j = math.ceil(u - 1.0)
-    log_val = 0.0
-    e1, e2 = j + 1.0 - u, u - j
-    if e1 != 0.0:
-        log_val += e1 * poisson_log_tail(theta, float(j))
-    if e2 != 0.0:
-        log_val += e2 * poisson_log_tail(theta, float(j + 1))
-    return math.exp(log_val)
 
 
 def _log_normal_tail(z: float) -> float:

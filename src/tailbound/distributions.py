@@ -23,10 +23,9 @@ __all__ = [
     "mixture_mgf",
     "mixture_tail",
     "two_point_palpha_closed",
-    "two_point_pinf_closed",
 ]
 
-# exp(z*y) overflows past this; mirrored by the mgf precondition.
+# exp overflows past this: the cap on Re(z) y here and on lambda y in bounds.
 _EXP_GUARD = 700.0
 
 
@@ -144,7 +143,7 @@ def mixture_mgf(rv: MixtureRV, z: complex) -> complex:
     """E exp(z * eta) for the Gaussian-Poisson mixture eta.
 
     Equals exp(v z^2 / 2 + theta (e^{zy} - 1 - zy)); the Poisson factor is
-    evaluated through exp_remainder(1, zy) so small arguments lose nothing
+    evaluated through exp_remainder(zy) so small arguments lose nothing
     to cancellation.  Real input yields a real result.
 
     Raises RangeError when Re(z) * y > 700, where exp would overflow.
@@ -152,7 +151,7 @@ def mixture_mgf(rv: MixtureRV, z: complex) -> complex:
     zc = complex(z)
     if zc.real * rv.y > _EXP_GUARD:
         raise RangeError(f"mixture_mgf overflow guard: Re(z)*y = {zc.real * rv.y}")
-    expo = 0.5 * rv.v * zc * zc + rv.theta * exp_remainder(1, zc * rv.y)
+    expo = 0.5 * rv.v * zc * zc + rv.theta * exp_remainder(zc * rv.y)
     if isinstance(z, complex):
         return cmath.exp(expo)
     return math.exp(expo.real)
@@ -218,20 +217,3 @@ def two_point_palpha_closed(rv: TwoPointRV, alpha: float, x: float) -> float:
     log_num = (alpha - 1.0) * math.log(a + b) + math.log(a) + math.log(b)
     return math.exp(log_num - log_den)
 
-
-def two_point_pinf_closed(rv: TwoPointRV, x: float) -> float:
-    """Best exponential (Chernoff) tail bound for the two-point law.
-
-    inf_{lam>0} e^{-lam x} E e^{lam X}, which on 0 <= x < b equals
-    ((x+a)/a)^{-(x+a)/(a+b)} * ((b-x)/b)^{-(b-x)/(a+b)}; the boundary and
-    exterior cases match the power-moment bound above.
-    """
-    a, b = rv.a, rv.b
-    if x <= 0.0:
-        return 1.0
-    if x >= b:
-        return rv.prob_pos if x == b else 0.0
-    s = a + b
-    expo = (-(x + a) / s * math.log((x + a) / a)
-            - (b - x) / s * math.log((b - x) / b))
-    return math.exp(expo)

@@ -406,21 +406,21 @@ def mc_expectation(spec: SumSpec, f: TestFunction, n: int,
     return mean, math.sqrt(var / n)
 
 
-def random_sum_spec(n: int, seed: int, y_cap: float = 1.0) -> SumSpec:
-    """A random valid SumSpec: per-summand budgets are drawn first and
-    realized through extremal_two_point, so the hypotheses hold by
-    construction rather than by rejection."""
+def random_sum_spec(n: int, seed: int) -> SumSpec:
+    """A random valid SumSpec with y_cap 1: per-summand budgets are drawn
+    first and realized through extremal_two_point, so the hypotheses hold
+    by construction rather than by rejection."""
     if n < 1:
         raise DomainError(f"need n >= 1 summands, got {n}")
     gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     summands = []
     for _ in range(n):
         sigma_i = float(gen.uniform(0.2, 1.0)) / math.sqrt(n)
-        y_i = float(gen.uniform(0.3, 1.0)) * y_cap
+        y_i = float(gen.uniform(0.3, 1.0))
         cap = y_i**3 * sigma_i**2 / (y_i**2 + sigma_i**2)
         beta_i = float(gen.uniform(0.05, 1.0)) * cap
         summands.append(extremal_two_point(sigma_i, y_i, beta_i))
-    return SumSpec(summands, y_cap)
+    return SumSpec(summands, 1.0)
 
 
 def hp_counterexample_gap(p: float, a: float) -> float:

@@ -591,10 +591,8 @@ def pos_moment_charfn(cf: Callable[[float], complex], moments: Sequence[float],
 
 # Cumulants of the mixture: kappa_2 = v + y^2 theta, kappa_m = y^m theta
 # for m >= 3 (the Gaussian part only contributes at order two).
-def mixture_shifted_moments(rv: MixtureRV, w: float, upto: int = 6) -> list[float]:
-    """Raw moments [E(eta - w)^0, ..., E(eta - w)^upto], upto <= 6."""
-    if upto > 6:
-        raise DomainError("moments available through order 6 only")
+def mixture_shifted_moments(rv: MixtureRV, w: float) -> list[float]:
+    """Raw moments [E(eta - w)^0, ..., E(eta - w)^6]."""
     k2 = rv.v + rv.y**2 * rv.theta
     k3 = rv.y**3 * rv.theta
     k4 = rv.y**4 * rv.theta
@@ -605,7 +603,7 @@ def mixture_shifted_moments(rv: MixtureRV, w: float, upto: int = 6) -> list[floa
                k5 + 10.0 * k3 * k2,
                k6 + 15.0 * k4 * k2 + 10.0 * k3 * k3 + 15.0 * k2**3]
     out = []
-    for m in range(upto + 1):
+    for m in range(7):
         acc = 0.0
         for i in range(m + 1):
             acc += math.comb(m, i) * central[i] * (-w) ** (m - i)
@@ -622,17 +620,13 @@ def _two_point_exact(rv: TwoPointRV, w: float, alpha: float) -> float:
     return out
 
 
-def _route(rv: MixtureRV | TwoPointRV, alpha: float,
-           method: PosMomentMethod | None = None) -> str:
-    """The route :func:`pos_moment` takes, as results report it: the tag of
-    ``method`` when a contour route is forced, as an audit, and otherwise
-    the moment walk :func:`_moments` (a forced series too), named "exact"
-    for a two-point law, "poisson-local" for a pure-Poisson mixture (v = 0)
-    and "series" for every other mixture and every power."""
-    if isinstance(rv, TwoPointRV) and (method is None or method.tag == "series"):
+def _route(rv: MixtureRV | TwoPointRV) -> str:
+    """The default route of :func:`pos_moment`, the moment walk
+    :func:`_moments`, as results report it: "exact" for a two-point law,
+    "poisson-local" for a pure-Poisson mixture (v = 0) and "series" for
+    every other mixture and every power."""
+    if isinstance(rv, TwoPointRV):
         return "exact"
-    if method is not None:
-        return method.tag
     return "poisson-local" if rv.v == 0.0 else "series"
 
 
@@ -671,7 +665,7 @@ def _audit(rv: MixtureRV | TwoPointRV, w: float, alpha: float, tag: str) -> floa
             return pos_moment_laplace(lambda z: mixture_mgf(rv, z), w, alpha,
                                       math.log1p(rv.y) / rv.y, gauss_var=rv.v)
         return pos_moment_charfn(lambda t: mixture_mgf(rv, complex(0.0, t)),
-                                 mixture_shifted_moments(rv, w, upto=6), w, alpha)
+                                 mixture_shifted_moments(rv, w), w, alpha)
     pn, pp = rv.prob_neg, rv.prob_pos
     a, b = rv.a, rv.b
     if tag == "laplace":

@@ -407,40 +407,25 @@ def normal_tail(v: float, x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0 * v))
 
 
-_SUPPORTED_J = (-1, 0, 1, 2, 3)
+def exp_remainder(u: complex) -> complex:
+    """The exponential remainder e_1(u) = e^u - 1 - u.
 
-
-def exp_remainder(j: int, u: complex) -> complex:
-    """The truncated exponential remainder e_j(u) = e^u - sum_{m<=j} u^m / m!.
-
-    e_{-1} is exp itself.  For |u| < 1e-2 the Taylor tail starting at order
-    j + 1 is summed directly, avoiding the cancellation of subtracting
-    near-equal quantities; the result always satisfies
-    |e_j(u)| <= |u|^{j+1} e^{|u|} / (j+1)!.
+    For |u| < 1e-2 the Taylor tail from order 2 is summed directly, avoiding
+    the cancellation of subtracting near-equal quantities; the result always
+    satisfies |e_1(u)| <= |u|^2 e^{|u|} / 2.
 
     Accepts real or complex u and returns a value of matching type.
     """
-    if j not in _SUPPORTED_J:
-        raise DomainError(f"exp_remainder supports j in {_SUPPORTED_J}, got {j}")
     is_real = not isinstance(u, complex)
     z = complex(u)
-    if j == -1:
-        out = cmath.exp(z)
-    elif abs(z) < 1e-2:
+    if abs(z) < 1e-2:
         # Tail of the Taylor series; with |u| < 1e-2 twelve terms push the
         # truncation error below 1e-30 relative to the leading term.
         out = 0j
-        term = z ** (j + 1) / math.factorial(j + 1)
-        for m in range(j + 1, j + 13):
+        term = z ** 2 / 2
+        for m in range(2, 14):
             out += term
             term *= z / (m + 1)
     else:
-        partial = 0j
-        term = 1.0 + 0j
-        for m in range(j + 1):
-            partial += term
-            term *= z / (m + 1)
-        out = cmath.exp(z) - partial
-    if is_real:
-        return out.real
-    return out
+        out = cmath.exp(z) - (1 + z)
+    return out.real if is_real else out

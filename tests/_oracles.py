@@ -5,7 +5,10 @@ found by plain bisection, moments by generic quadrature, minima by golden
 section or dense grids, and tails by high-precision or brute-force summation.
 Agreement between these oracles and the library is what the tests assert, so
 nothing in this module may import from ``tailbound`` except where a test
-explicitly cross-checks one library routine against another.
+explicitly cross-checks one library routine against another, and for the
+closed-form references below that left the package (:func:`bh_exp`,
+:func:`two_point_pinf_closed`, :func:`plc_poisson_tail`), which keep its
+kernels and error types.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
+
+from tailbound.errors import DomainError, RangeError
+from tailbound.special import exp_remainder, poisson_log_tail
 
 
 def lambert_bisect(z: float, tol: float = 1e-14) -> float:
@@ -197,6 +203,53 @@ def two_point_pinf_numeric(a: float, b: float, x: float) -> float:
     hi = min(2.0 * hi, cap)
     _, val = golden_min(g, 0.0, hi, tol=1e-14)
     return math.exp(val)
+
+
+def two_point_pinf_closed(a: float, b: float, x: float) -> float:
+    """Best exponential (Chernoff) tail bound for the two-point law on
+    {-a, b}: inf_{lam>0} e^{-lam x} E e^{lam X}, which on 0 <= x < b equals
+    ((x+a)/a)^{-(x+a)/(a+b)} * ((b-x)/b)^{-(b-x)/(a+b)}; it is 1 left of 0,
+    the atom mass a/(a+b) at x = b and 0 beyond, as the power bound is."""
+    if x <= 0.0:
+        return 1.0
+    if x >= b:
+        return a / (a + b) if x == b else 0.0
+    s = a + b
+    expo = (-(x + a) / s * math.log((x + a) / a)
+            - (b - x) / s * math.log((b - x) / b))
+    return math.exp(expo)
+
+
+def bh_exp(sigma: float, y: float, lam: float) -> float:
+    """The Bennett bound on E exp(lam S): exp((e^{lam y} - 1 - lam y)
+    sigma^2 / y^2)."""
+    if not (lam >= 0.0):
+        raise DomainError(f"lambda must be >= 0, got {lam}")
+    u = lam * y
+    if u > 700.0:
+        raise RangeError(f"lambda*y = {u} overflows the exponential bound")
+    return math.exp((sigma / y) ** 2 * exp_remainder(u))
+
+
+def plc_poisson_tail(theta: float, u: float) -> float:
+    """Least log-concave majorant of u |-> P(Pois(theta) >= u).
+
+    Geometric interpolation of the tail between consecutive integers:
+    with j = ceil(u - 1), P(>= j)^{j+1-u} P(>= j+1)^{u-j}.  Coincides with
+    the tail at integer u and is 1 for u <= 0.
+    """
+    if not math.isfinite(u):
+        raise DomainError(f"u must be finite, got {u}")
+    if u <= 0.0:
+        return 1.0
+    j = math.ceil(u - 1.0)
+    log_val = 0.0
+    e1, e2 = j + 1.0 - u, u - j
+    if e1 != 0.0:
+        log_val += e1 * poisson_log_tail(theta, float(j))
+    if e2 != 0.0:
+        log_val += e2 * poisson_log_tail(theta, float(j + 1))
+    return math.exp(log_val)
 
 
 def mc_mixture_tail(v: float, y: float, theta: float, x: float, n: int,

@@ -2,7 +2,6 @@
 
 import math
 import time
-import warnings
 
 import mpmath
 import pytest
@@ -41,7 +40,8 @@ from tailbound import (
     pu_exp,
     pu_numeric,
 )
-from tailbound.bounds import bh_exp, m_function, plc_poisson_tail, solve_t_x
+from tailbound.bounds import m_function, solve_t_x
+from tailbound.posmoments import PosMomentMethod, _route
 
 P_HALF = BoundParams(1.0, 1.0, 0.5)
 P_SMALL = BoundParams(1.0, 1.0, 0.1)
@@ -79,14 +79,14 @@ def test_bh_domain_and_range():
     with pytest.raises(DomainError):
         bh(1.0, 1.0, -0.5)
     with pytest.raises(RangeError):
-        bh_exp(1.0, 1.0, 701.0)
+        oracles.bh_exp(1.0, 1.0, 701.0)
     with pytest.raises(DomainError):
-        bh_exp(1.0, 1.0, -0.1)
+        oracles.bh_exp(1.0, 1.0, -0.1)
 
 
 def test_exp_bounds_reject_nan_lambda():
     with pytest.raises(DomainError):
-        bh_exp(1.0, 1.0, math.nan)
+        oracles.bh_exp(1.0, 1.0, math.nan)
     with pytest.raises(DomainError):
         pu_exp(P_HALF, math.nan)
 
@@ -97,7 +97,7 @@ def test_pu_exp_between_gauss_and_bh_factors(lam):
     p = P_HALF
     gauss = math.exp(0.5 * lam * lam * (1.0 - p.eps) * p.sigma**2)
     assert gauss * (1.0 - 1e-12) <= pu_exp(p, lam) <= \
-        bh_exp(p.sigma, p.y, lam) * (1.0 + 1e-12)
+        oracles.bh_exp(p.sigma, p.y, lam) * (1.0 + 1e-12)
     assert pu_exp(p, lam) == pytest.approx(
         oracles.pu_exp_direct(1.0, 1.0, 0.5, lam), rel=1e-13)
 
@@ -236,14 +236,13 @@ def test_p_alpha_any_power_against_mpmath(alpha):
 
 
 def test_p_alpha_reports_exact_for_two_point_series():
-    # A forced series on a two-point law runs the exact two-term sum.
-    from tailbound import PosMomentMethod
+    # On a two-point law the moment walk is the exact two-term sum, which a
+    # forced series through pos_moment runs too.
     tp = TwoPointRV(1.0, 3.0)
-    forced = p_alpha(tp, 2.0, 1.0, method=PosMomentMethod.series())
-    assert forced.method == "exact"
-    assert forced.value == p_alpha(tp, 2.0, 1.0).value
-    from tailbound.posmoments import _route
-    assert _route(tp, 2.0, PosMomentMethod.laplace()) == "laplace"
+    r = p_alpha(tp, 2.0, 1.0)
+    assert r.method == _route(tp) == "exact"
+    forced = pos_moment(tp, r.optimizer, 2.0, PosMomentMethod.series())
+    assert forced / (1.0 - r.optimizer) ** 2 == r.value
 
 
 def test_p_alpha_strictly_decreasing_in_x():
@@ -550,11 +549,10 @@ def test_pin_deep_tail_value():
 
 
 def test_pin_method_override_consistency():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        from tailbound import PosMomentMethod
-        forced = pin(P_SMALL, 3.0, method=PosMomentMethod.laplace()).value
-    assert forced == pytest.approx(pin(P_SMALL, 3.0).value, rel=1e-6)
+    # The forced Laplace audit of pin's moment, at pin's own t_x.
+    r = pin(P_SMALL, 3.0)
+    forced = pos_moment(P_SMALL.mixture(), r.optimizer, 3.0, PosMomentMethod.laplace())
+    assert forced / (3.0 - r.optimizer) ** 3 == pytest.approx(r.value, rel=1e-6)
 
 
 def test_ca_en_basics():
@@ -599,28 +597,28 @@ def test_c_const_monotone_in_beta():
 
 def test_plc_poisson_interpolates_geometrically():
     theta = 0.6
-    assert plc_poisson_tail(theta, 3.0) == pytest.approx(
+    assert oracles.plc_poisson_tail(theta, 3.0) == pytest.approx(
         poisson_tail(theta, 3.0), rel=1e-12)
-    mid = plc_poisson_tail(theta, 3.5)
+    mid = oracles.plc_poisson_tail(theta, 3.5)
     geo = math.sqrt(poisson_tail(theta, 3.0) * poisson_tail(theta, 4.0))
     assert mid == pytest.approx(geo, rel=1e-12)
-    assert plc_poisson_tail(theta, -1.0) == 1.0
+    assert oracles.plc_poisson_tail(theta, -1.0) == 1.0
     for u in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            plc_poisson_tail(theta, u)
+            oracles.plc_poisson_tail(theta, u)
 
 
 @given(st.floats(min_value=0.05, max_value=8.0),
        st.floats(min_value=0.0, max_value=25.0))
 def test_plc_poisson_majorizes_tail(theta, u):
-    assert plc_poisson_tail(theta, u) >= poisson_tail(theta, u) * (1.0 - 1e-12)
+    assert oracles.plc_poisson_tail(theta, u) >= poisson_tail(theta, u) * (1.0 - 1e-12)
 
 
 def test_plc_poisson_log_concave_on_grid():
     # Log-concavity on a uniform grid: log f(u) midpoint above average.
     theta = 0.6
     us = [0.25 * i for i in range(1, 60)]
-    logs = [math.log(plc_poisson_tail(theta, u)) for u in us]
+    logs = [math.log(oracles.plc_poisson_tail(theta, u)) for u in us]
     for i in range(1, len(logs) - 1):
         assert logs[i] >= 0.5 * (logs[i - 1] + logs[i + 1]) - 1e-9
 
@@ -640,7 +638,7 @@ def test_plc_mixture_dominates_mixture_tail():
 def test_plc_mixture_collapses_when_gaussian_vanishes():
     p = BoundParams(1.0, 1.0, 1.0 - 1e-6)
     got = plc_mixture_upper(p, 3.0)
-    ref = plc_poisson_tail(p.mixture().theta, 3.0 + p.mixture().theta)
+    ref = oracles.plc_poisson_tail(p.mixture().theta, 3.0 + p.mixture().theta)
     assert got == pytest.approx(ref, rel=5e-2)
 
 
