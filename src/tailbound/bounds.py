@@ -99,23 +99,28 @@ class EffectiveEpsilon(NamedTuple):
     degenerate: bool
 
 
+def _unit_sigma(params: BoundParams, x: float,
+                nonneg_x: bool = True) -> tuple[BoundParams, float]:
+    """(BoundParams(1, y/sigma, eps), x/sigma), after checking x (x >= 0,
+    or finite x only where ``nonneg_x`` is false)."""
+    (_check_nonneg_x if nonneg_x else _check_finite_x)(x)
+    r, xi = params.y / params.sigma, x / params.sigma
+    if not (0.0 < r < math.inf and math.isfinite(xi)):
+        raise RangeError(f"y / sigma = {r} or x / sigma = {xi} leaves the double range")
+    return BoundParams(1.0, r, params.eps), xi
+
+
 def _scale_free(power: int, nonneg_x: bool = True) -> Callable[[Callable], Callable]:
-    """Runs a bound(params, x) at sigma = 1, on BoundParams(1, y/sigma,
-    eps) and x/sigma, after checking x (x >= 0, or finite x only where
-    ``nonneg_x`` is false).  The bounds are scale-equivariant, and at sigma
-    = 1 no power of sigma leaves the double range.  A TailBoundResult's
-    optimizer comes back times sigma**power (t_x: 1, lambda_x: -1); a
-    float (alpha_x_split's ratio, power 0) comes back as it is.  At
-    sigma = 1 no bit changes: dividing by 1.0 is exact."""
+    """Runs a bound(params, x) at sigma = 1, on :func:`_unit_sigma`'s
+    params and x: the bounds are scale-equivariant, and there no power of
+    sigma leaves the double range.  A TailBoundResult's optimizer comes
+    back times sigma**power (t_x: 1, lambda_x: -1), a float (power 0) as
+    it is.  At sigma = 1 no bit changes: dividing by 1.0 is exact."""
     def wrap(bound: Callable) -> Callable:
         @functools.wraps(bound)
         def at_unit_sigma(params: BoundParams, x: float):
-            (_check_nonneg_x if nonneg_x else _check_finite_x)(x)
             s = params.sigma
-            r, xi = params.y / s, x / s
-            if not (0.0 < r < math.inf and math.isfinite(xi)):
-                raise RangeError(f"y / sigma = {r} or x / sigma = {xi} leaves the double range")
-            out = bound(BoundParams(1.0, r, params.eps), xi)
+            out = bound(*_unit_sigma(params, x, nonneg_x))
             if isinstance(out, TailBoundResult):  # a fresh result, as __post_init__ sets it
                 opt = out.optimizer * s if power > 0 else out.optimizer / s
                 object.__setattr__(out, "optimizer", opt)
@@ -254,10 +259,11 @@ def solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> float:
     return _solve_t_x(rv, alpha, x)[0]
 
 
-def _solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float,
-               x: float) -> tuple[float, float, float]:
-    """(t_x, N_alpha, N_{alpha-1}) with N_p = E(eta-t_x)_+^p, the moments
-    of the solve's last walk or of its finish from there.
+def _solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float,
+               prev: tuple | None = None) -> tuple[float, float, float, int, float]:
+    """(t_x, N_alpha, N_{alpha-1}, peak, m') with N_p = E(eta-t_x)_+^p,
+    the moments of the solve's last walk or of its finish from there, and
+    that walk's peak count and slope m'.
 
     Each step makes one fused walk, (N_a, N_{a-1}, N_{a-2}) at t, which
     gives m(t) and m'(t) = 1 - a + (a-1) N_a N_{a-2} / N_{a-1}^2, and takes
@@ -280,34 +286,45 @@ def _solve_t_x(rv: MixtureRV | TwoPointRV, alpha: float,
     tolerance.
 
     The seed is the Gaussian limit of the same variance (:func:`_gauss_seed`).
-    Every point narrows a sign bracket [lo, hi] of m - x, whose right end
-    starts at x - 1e-12 max(1, |x|) unevaluated.  A step that leaves the
-    bracket bisects it; while no left end is known, one that runs left of
-    x - 2 (x - t) stops there, so the offset from x at most doubles.  The
-    solve ends at the first point whose step, or bracket, is below
-    (1e-12 max(1, |x|, sd) + 1e-12 |t|) / 2, the tolerance of the Brent
-    solve this replaces: m - x cancels by |t| / |x - t|, so a finer one
-    need not be met.  A NaN m, a vanished N_{a-1}, no sign change
-    (m < x at the right end, or no left end by offset 1e12 sd) and
-    _MAX_ITER steps are a NumericalError.
+    With prev = (x', t_x', peak', m'), those of a solve at x', it is t_x' +
+    (x - x') / m' (dt_x/dx = 1/m'), and the first peak search starts at
+    peak'; where m' <= 0 or that is not below the bracket's right end (on
+    the lattice m' drops at a cell's edge) it is x - (x' - t_x'), and where
+    that is not either, the Gaussian seed.  Every point narrows a sign
+    bracket [lo, hi] of m - x, whose right end starts at x - 1e-12 max(1,
+    |x|) unevaluated.  A step that leaves the bracket bisects it; while no
+    left end is known, one that runs left of x - 2 (x - t) stops there, so
+    the offset from x at most doubles.  The solve ends at the first point
+    whose step, or bracket, is below (1e-12 max(1, |x|, sd) + 1e-12 |t|) /
+    2, the tolerance of the Brent solve this replaces: m - x cancels by |t|
+    / |x - t|, so a finer one need not be met.  A NaN m, a vanished
+    N_{a-1}, no sign change (m < x at the right end, or no left end by
+    offset 1e12 sd) and _MAX_ITER steps are a NumericalError.
     """
     x_star = _support_sup(rv)
     if not (0.0 < x < x_star):
         raise DomainError(f"x must lie in (mean, sup support) = (0, {x_star}), got {x}")
     sd = rv.stddev if isinstance(rv, MixtureRV) else math.sqrt(rv.second_moment)
-    return _newton_t_x(rv, alpha, x, sd, _gauss_seed(alpha, x, sd))
+    hi, t, start = x - 1e-12 * max(1.0, abs(x)), math.nan, -1
+    if prev is not None:
+        x0, t0, start, slope = prev
+        t = t0 + (x - x0) / slope if slope > 0.0 else math.nan
+        t = t if t < hi else t0 + (x - x0)
+    if not (t < hi):
+        t, start = _gauss_seed(alpha, x, sd), -1
+    return _newton_t_x(rv, alpha, x, sd, t, start)
 
 
-def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
-                t: float) -> tuple[float, float, float]:
-    """The iteration of :func:`_solve_t_x` from the seed t."""
+def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float, t: float,
+                start: int = -1) -> tuple[float, float, float, int, float]:
+    """The iteration of :func:`_solve_t_x` from the seed t and peak start."""
     x_tol = 1e-12 * max(1.0, abs(x), sd)
     lo, hi = -math.inf, x - 1e-12 * max(1.0, abs(x))
     hi_seen = False
     mixture = isinstance(rv, MixtureRV)
     lattice2 = alpha == 2.0 and mixture and rv.v == 0.0
     cubic = alpha == 3.0 and mixture and rv.v > 0.0
-    t, t_prev, g_prev, start = min(t, hi), math.nan, math.nan, -1
+    t, t_prev, g_prev = min(t, hi), math.nan, math.nan
     for _ in range(_MAX_ITER):
         n_a, n_b, n_c, n_d, peak, z_max = _moments(rv, t, alpha, True, start)
         if n_b <= _ABS_TOL:
@@ -315,18 +332,18 @@ def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
         g = t + n_a / n_b - x
         if math.isnan(g):
             raise NumericalError(f"m(t) is NaN at t = {t}")
+        if alpha >= 2.0:
+            slope = 1.0 - alpha + (alpha - 1.0) * (n_a / n_b) * (n_c / n_b)
+        else:
+            slope = (g - g_prev) / (t - t_prev) if t_prev == t_prev else 1.0
         if g == 0.0:
-            return t, n_a, n_b
+            return t, n_a, n_b, peak, slope
         if g > 0.0:
             hi, hi_seen = t, True
         elif t == hi:
             raise NumericalError(f"no sign change of m(t) - x below t = {t}")
         else:
             lo = t
-        if alpha >= 2.0:
-            slope = 1.0 - alpha + (alpha - 1.0) * (n_a / n_b) * (n_c / n_b)
-        else:
-            slope = (g - g_prev) / (t - t_prev) if t_prev == t_prev else 1.0
         step = -g / slope if slope > 0.0 else math.nan
         tol = 0.5 * (x_tol + 1e-12 * abs(t))
         in_cell = False
@@ -340,13 +357,13 @@ def _newton_t_x(rv: MixtureRV | TwoPointRV, alpha: float, x: float, sd: float,
                 # Its terms cancel by their sum over n2: at most 16 keeps the
                 # walk's digits to a few units of 2^-53.
                 if edge < t_cell < edge + rv.y and n_a + d * (2.0 * n_b + d * n_c) <= 16.0 * n2:
-                    return t_cell, n2, n_b - step * n_c
+                    return t_cell, n2, n_b - step * n_c, peak, slope
         if cubic and step == step:
             done = _cubic_finish(x, t, (n_a, n_b, n_c, n_d), z_max, math.sqrt(rv.v), step, tol)
             if done is not None and lo < done[0] < hi:
-                return done
+                return (*done, peak, slope)
         if abs(step) <= tol or hi - lo <= 2.0 * tol:
-            return t, n_a, n_b
+            return t, n_a, n_b, peak, slope
         t_prev, g_prev, t_new = t, g, t + step
         if lo == -math.inf and not in_cell:
             t_new = max(t_new, x - 2.0 * (x - t)) if t_new == t_new else x - 2.0 * (x - t)
@@ -435,23 +452,31 @@ def p_alpha(rv: MixtureRV | TwoPointRV, alpha: float, x: float) -> TailBoundResu
     where m(t_x) = x holds exactly, is the consistency diagnostic: its
     discrepancy is err_estimate.
     """
+    return _p_alpha_path(rv, alpha, [x])[0]
+
+
+def _p_alpha_path(rv: MixtureRV | TwoPointRV, alpha: float,
+                  xs: list[float]) -> list[TailBoundResult]:
+    """:func:`p_alpha` at each x of an increasing grid, in one pass: the
+    first solve is p_alpha's, and each later one starts from the previous
+    one's root, slope and peak (:func:`_solve_t_x`'s prev)."""
     if not (alpha > 1.0):
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if x <= 0.0:
-        return TailBoundResult(1.0, math.nan, "boundary")
-    x_star = _support_sup(rv)
-    if x >= x_star:
-        atom = rv.prob_pos if (isinstance(rv, TwoPointRV) and x == x_star) else 0.0
-        return TailBoundResult(atom, math.nan, "boundary")
-    t_x, e_hi, e_lo = _solve_t_x(rv, alpha, x)
-    value = e_hi / (x - t_x) ** alpha
-    # Same quantity written without x, exact when m(t_x) = x holds exactly.
-    if e_hi > 0.0 and e_lo > 0.0:
-        alt = math.exp(alpha * math.log(e_lo) - (alpha - 1.0) * math.log(e_hi))
-    else:
-        alt = value
-    value = min(value, 1.0)
-    return TailBoundResult(value, t_x, _route(rv), err_estimate=abs(value - alt))
+    x_star, prev, out = _support_sup(rv), None, []
+    for x in xs:
+        if x <= 0.0 or x >= x_star:
+            atom = rv.prob_pos if (isinstance(rv, TwoPointRV) and x == x_star) else 0.0
+            out.append(TailBoundResult(1.0 if x <= 0.0 else atom, math.nan, "boundary"))
+            continue
+        t_x, e_hi, e_lo, peak, slope = _solve_t_x(rv, alpha, x, prev)
+        prev = (x, t_x, peak, slope)
+        value = e_hi / (x - t_x) ** alpha
+        # Same quantity written without x, exact when m(t_x) = x holds exactly.
+        alt = (math.exp(alpha * math.log(e_lo) - (alpha - 1.0) * math.log(e_hi))
+               if e_hi > 0.0 and e_lo > 0.0 else value)
+        value = min(value, 1.0)
+        out.append(TailBoundResult(value, t_x, _route(rv), err_estimate=abs(value - alt)))
+    return out
 
 
 @_scale_free(1)

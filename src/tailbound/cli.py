@@ -15,25 +15,32 @@ import sys
 from . import bounds as bd
 from .distributions import (BoundParams, MixtureRV, TwoPointRV,
                             two_point_palpha_closed)
-from .errors import DomainError, TailboundError
-from .posmoments import PosMomentMethod, pos_moment
-from .special import _root_in_bracket, normal_tail, poisson_tail
+from .errors import DomainError, NumericalError, TailboundError
+from .posmoments import PosMomentMethod, _moments, pos_moment
+from .special import _ABS_TOL, _root_in_bracket, normal_tail, poisson_tail
 
 __all__ = ["run", "main"]
 
-# name -> (flags the bound consumes beyond --x, its value at x given the
-# parsed flags and the BoundParams built from them).  Each entry looks its
-# bound up in `bd` at call time, so a replaced module attribute (a test
-# double, a tracing wrapper) takes effect.
+
+def _path(params: BoundParams, xs: list[float], alpha: float) -> list[float]:
+    """be (alpha 2) or pin (alpha 3) on xs: one t_x path at sigma = 1, as bounds._scale_free."""
+    scaled = [bd._unit_sigma(params, x) for x in xs]
+    rv = scaled[0][0].mixture() if alpha == 3.0 else scaled[0][0].bentkus()
+    return [r.value for r in bd._p_alpha_path(rv, alpha, [xi for _, xi in scaled])]
+
+
+# name -> (flags the bound consumes beyond --x, its values on an x grid from
+# the parsed flags and their BoundParams).  Each entry looks its bound up in
+# `bd` at call time, so a replaced attribute (test double, tracer) counts.
 _BOUNDS = {
-    "bh": (("sigma", "y"), lambda a, p, x: bd.bh(a.sigma, a.y, x).value),
-    "pu": (("sigma", "y", "eps"), lambda a, p, x: bd.pu(p, x).value),
-    "be": (("sigma", "y"), lambda a, p, x: bd.be(p, x).value),
-    "pin": (("sigma", "y", "eps"), lambda a, p, x: bd.pin(p, x).value),
-    "ca": (("sigma",), lambda a, p, x: bd.ca(a.sigma, x)),
-    "en": (("sigma",), lambda a, p, x: bd.en(a.sigma, x)),
-    "ea": ((), lambda a, p, x: bd.ea(x)),
-    "lc3": (("sigma", "y", "eps"), lambda a, p, x: bd.lc3_bound(p, x)),
+    "bh": (("sigma", "y"), lambda a, p, xs: [bd.bh(a.sigma, a.y, x).value for x in xs]),
+    "pu": (("sigma", "y", "eps"), lambda a, p, xs: [bd.pu(p, x).value for x in xs]),
+    "be": (("sigma", "y"), lambda a, p, xs: _path(p, xs, 2.0)),
+    "pin": (("sigma", "y", "eps"), lambda a, p, xs: _path(p, xs, 3.0)),
+    "ca": (("sigma",), lambda a, p, xs: [bd.ca(a.sigma, x) for x in xs]),
+    "en": (("sigma",), lambda a, p, xs: [bd.en(a.sigma, x) for x in xs]),
+    "ea": ((), lambda a, p, xs: [bd.ea(x) for x in xs]),
+    "lc3": (("sigma", "y", "eps"), lambda a, p, xs: [bd.lc3_bound(p, x) for x in xs]),
 }
 _COMPARED = ("bh", "pu", "be", "pin", "ca", "en")
 _VS_BH = ("be", "pin", "pu")  # compare's log10(bound / bh) columns
@@ -143,9 +150,9 @@ def _require(args: argparse.Namespace, needs: tuple[str, ...],
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    needs, value_at = _BOUNDS[args.bound]
+    needs, column = _BOUNDS[args.bound]
     params = _require(args, needs, f"--bound {args.bound}")
-    value = value_at(args, params, args.x)
+    value = column(args, params, [args.x])[0]
     print("value")
     print(_fmt(value, args.digits))
     return 0
@@ -156,15 +163,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError("--x-min must be below --x-max")
     if args.points < 2:
         raise DomainError("--points must be at least 2")
-    needs, value_at = _BOUNDS[args.bound]
+    needs, column = _BOUNDS[args.bound]
     params = _require(args, needs, f"--bound {args.bound}")
     # Rows first, so a failing point leaves stdout empty, not a partial table.
     if args.parametric:
         rows = list(_parametric_rows(args, params))
     else:
-        xs = (args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
-              for i in range(args.points))
-        rows = [(x, value_at(args, params, x)) for x in xs]
+        xs = [args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
+              for i in range(args.points)]
+        rows = zip(xs, column(args, params, xs))
     print("x,value")
     for x, v in rows:
         print(f"{_fmt(x, args.digits)},{_fmt(v, args.digits)}")
@@ -173,9 +180,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _parametric_rows(args: argparse.Namespace, params: BoundParams):
     """Sweep the shift t = u - 1/u on a uniform u grid instead of solving
-    t_x per point: each row is (m(t), E(eta-t)_+^a / (m(t)-t)^a), which
-    traces the same curve with two root solves total instead of one per
-    grid point."""
+    t_x per point: each row is (m(t), E(eta-t)_+^a / (m(t)-t)^a), both
+    from one fused walk at t, which traces the same curve with two root
+    solves total instead of one per grid point."""
     if args.bound not in ("be", "pin"):
         raise DomainError("--parametric applies to be and pin only")
     rv, alpha = (params.mixture(), 3.0) if args.bound == "pin" else (params.bentkus(), 2.0)
@@ -191,9 +198,11 @@ def _parametric_rows(args: argparse.Namespace, params: BoundParams):
     for i in range(args.points):
         u = u_lo + (u_hi - u_lo) * i / (args.points - 1)
         t = u - 1.0 / u
-        x = bd.m_function(rv, alpha, t)
-        val = min(1.0, pos_moment(rv, t, alpha) / (x - t) ** alpha)
-        yield x, val
+        num, den = _moments(rv, t, alpha, True)[:2]
+        if den <= _ABS_TOL:
+            raise NumericalError(f"E(eta-t)_+^{alpha - 1} vanished at t = {t}")
+        x = t + num / den
+        yield x, min(1.0, num / (x - t) ** alpha)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -201,14 +210,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise DomainError("--points must be at least 2")
     floor = 1e-300
-    rows = []  # all computed before the header, as in sweep
-    for i in range(args.points):
-        x = args.x_max * i / (args.points - 1)
-        v = {name: _BOUNDS[name][1](args, params, x) for name in _COMPARED}
-        rows.append([x, *v.values()] + [math.log10(max(v[name], floor) / max(v["bh"], floor))
-                                        for name in _VS_BH])
+    xs = [args.x_max * i / (args.points - 1) for i in range(args.points)]
+    # Every column before the header, as in sweep.
+    v = {name: _BOUNDS[name][1](args, params, xs) for name in _COMPARED}
     print(",".join(["x", *_COMPARED, *(f"log10_{name}_bh" for name in _VS_BH)]))
-    for row in rows:
+    for i, x in enumerate(xs):
+        row = [x, *(col[i] for col in v.values())]
+        row += [math.log10(max(v[name][i], floor) / max(v["bh"][i], floor)) for name in _VS_BH]
         print(",".join(_fmt(val, args.digits) for val in row))
     return 0
 

@@ -324,6 +324,21 @@ def test_t_x_solve_walk_budget(monkeypatch, call, budget):
     assert 0 < walks[0] <= budget
 
 
+@pytest.mark.parametrize("y,eps,budget", [("1", "0.1", 32), ("2.83", "0.8", 46)])
+def test_compare_solves_each_column_along_one_t_x_path(monkeypatch, y, eps, budget):
+    # A work gate, as above: compare seeds each be and pin row from the
+    # previous row's root, so the Gaussian seed runs once per column and
+    # the table takes these walks (42 and 65 where every row starts from
+    # the seed).
+    from tailbound.cli import run
+    walks, seeds, seed = _count_walks(monkeypatch), [], bounds._gauss_seed
+    monkeypatch.setattr(bounds, "_gauss_seed", lambda *args: seeds.append(args) or seed(*args))
+    assert run(["compare", "--sigma", "1", "--y", y, "--eps", eps, "--x-max", "8",
+                "--points", "8"]) == 0
+    assert walks[0] <= budget
+    assert sorted(alpha for alpha, _, _ in seeds) == [2.0, 3.0]
+
+
 @pytest.mark.parametrize("call", _SOLVES + [
     lambda: pin(BoundParams(1.0, 0.1, 0.1), 5.0),
     lambda: pin(BoundParams(1.0, 0.3, 0.5), 3.0),
@@ -394,7 +409,7 @@ def test_finished_pin_solve_matches_a_walk_at_its_t(monkeypatch, params, x):
         return finishes[-1]
     monkeypatch.setattr(bounds, "_cubic_finish", spy)
     rv = BoundParams(*params).mixture()
-    t, e3, e2 = bounds._solve_t_x(rv, 3.0, x)
+    t, e3, e2 = bounds._solve_t_x(rv, 3.0, x)[:3]
     assert finishes[-1] is not None and finishes[-1][0] == t
     w3, w2 = _moments(rv, t, 3.0, True)[:2]
     slack = (4.0 + 2.0 * abs(math.log(w3)) + 32.0) * 2.0**-53
@@ -414,16 +429,76 @@ def test_lattice_cell_finish_matches_a_walk_at_its_t(params, x, monkeypatch):
     # allows.
     walks = _count_walks(monkeypatch)
     rv = BoundParams(*params).bentkus()
-    t, e2, e1 = bounds._solve_t_x(rv, 2.0, x)
+    t, e2, e1 = bounds._solve_t_x(rv, 2.0, x)[:3]
     edge = rv.y * (math.floor(t / rv.y + rv.theta) - rv.theta)
     assert edge < t < edge + rv.y
     n = walks[0]
     w2, w1 = _moments(rv, t, 2.0, True)[:2]
     assert walks[0] == n + 1
-    theta = rv.theta
-    slack = 16 * 2.0**-52 * (theta * (1.0 + abs(math.log(theta))) + abs(math.log(w2)) + 10.0)
+    slack = _walk_tol(rv.theta, w2)
     assert e2 == pytest.approx(w2, rel=slack, abs=0.0)
     assert e1 == pytest.approx(w1, rel=slack, abs=0.0)
+
+
+def _walk_tol(theta, value):
+    # test_posmoments' allowance for two walks of one law whose peaks differ.
+    return 16 * 2.0**-52 * (theta * (1.0 + abs(math.log(theta))) + abs(math.log(value)) + 10.0)
+
+
+def _path_laws():
+    """(id, law, alpha, mpmath P_alpha at x): pin's mixture and be's lattice
+    at theta in {0.1, 1, 4} and eps in {0.1, 0.8} (y = 2.83 at 0.8 and
+    0.1, where the Poisson jumps carry the tail), and a two-point law."""
+    for theta in (0.1, 1.0, 4.0):
+        for eps in (0.1, 0.8):
+            params = BoundParams(1.0, math.sqrt(eps / theta), eps)
+            mix, lat = params.mixture(), params.bentkus()
+            yield (f"pin-t{theta}-e{eps}", mix, 3.0,
+                   lambda x, r=mix: oracles.p_alpha_mp(r.v, r.y, r.theta, 3.0, x, dps=20))
+            yield (f"be-t{theta}-e{eps}", lat, 2.0,
+                   lambda x, r=lat: oracles.p_alpha_law_mp(
+                       lambda t, p: oracles.lattice_pos_moment_mp(r.y, r.theta, t, p),
+                       2.0, x, x - 4.0 * r.stddev, r.stddev, dps=20))
+    tp = TwoPointRV(1.0, 7.0)
+    yield ("two-point", tp, 2.5, lambda x: oracles.p_alpha_law_mp(
+        lambda t, p: oracles.two_point_pos_moment_mp(tp.a, tp.b, t, p),
+        2.5, x, x - 4.0 * math.sqrt(tp.second_moment), math.sqrt(tp.second_moment), dps=20))
+
+
+_PATH_LAWS = list(_path_laws())
+
+
+@pytest.mark.parametrize("law,alpha,want", [case[1:] for case in _PATH_LAWS],
+                         ids=[case[0] for case in _PATH_LAWS])
+def test_t_x_path_rows_match_p_alpha_and_bound_the_tail(law, alpha, want):
+    # An 8-point grid on [0, 8] (past the two-point law's supremum 7 at 8,
+    # and at it for its 7): the x = 0 row is the boundary 1, the first
+    # positive row is p_alpha's solve, bit for bit, and each later row,
+    # solved from its neighbour's root, is p_alpha to the two walks'
+    # rounding and at least the mpmath infimum less it.
+    xs = sorted([8.0 * i / 7 for i in range(8)] + ([7.0] if isinstance(law, TwoPointRV) else []))
+    rows = bounds._p_alpha_path(law, alpha, xs)
+    singles = [p_alpha(law, alpha, x) for x in xs]
+    assert repr(rows[:2]) == repr(singles[:2])
+    assert (rows[0].value, rows[0].method) == (1.0, "boundary")
+    sup = law.b if isinstance(law, TwoPointRV) else math.inf
+    for x, row, single in zip(xs[2:], rows[2:], singles[2:]):
+        if x >= sup:
+            assert repr(row) == repr(single)
+            continue
+        slack = _walk_tol(law.theta, single.value) if isinstance(law, MixtureRV) else 1e-14
+        assert row.value == pytest.approx(single.value, rel=slack, abs=0.0)
+        assert row.value >= want(x) * (1.0 - slack)
+
+
+@pytest.mark.parametrize("law,alpha,x", [
+    (P_SMALL.mixture(), 3.0, 3.0), (P_SMALL.mixture(), 2.5, 0.0),
+    (BoundParams(1.0, 0.3, 0.5).bentkus(), 2.0, 3.1), (TwoPointRV(1.0, 3.0), 2.0, 1.0),
+    (TwoPointRV(1.0, 3.0), 2.0, 3.0), (TwoPointRV(1.0, 3.0), 2.0, 4.0)])
+def test_one_point_path_is_p_alpha(law, alpha, x):
+    # p_alpha is the path's one-point case: value, optimizer, method and
+    # err_estimate, in the interior and on both boundaries.
+    assert repr(bounds._p_alpha_path(law, alpha, [x])) == repr([p_alpha(law, alpha, x)])
 
 
 @pytest.mark.parametrize("y,x,want", [(0.1, 1.0, 0.511301423123827),

@@ -248,15 +248,40 @@ def test_compare_table_contract(capsys):
 
 
 def test_compare_failing_row_prints_nothing(capsys, monkeypatch):
-    def pin_failing_late(params, x, **kwargs):
-        if x > 2.0:
+    # compare takes be and pin from one t_x path per column: a path that
+    # solves the rows up to x = 2 and then fails.
+    def path_failing_late(rv, alpha, xs, path=bounds._p_alpha_path):
+        out = path(rv, alpha, [x for x in xs if x <= 2.0])
+        if len(out) < len(xs):
             raise NumericalError("deep point")
-        return pin(params, x, **kwargs)
+        return out
 
-    monkeypatch.setattr(bounds, "pin", pin_failing_late)
+    monkeypatch.setattr(bounds, "_p_alpha_path", path_failing_late)
     assert run(["compare", "--sigma", "1", "--y", "1", "--eps", "0.1",
                 "--x-max", "4", "--points", "5"]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compare", "--sigma", "1", "--y", "1", "--eps", "0.1", "--x-max", "-4",
+      "--points", "5"], 2),
+    (["sweep", "--bound", "pin", "--sigma", "1", "--y", "1", "--eps", "0.1",
+      "--x-min", "0", "--x-max", "4", "--points", "5"], 0),
+    (["sweep", "--bound", "be", "--sigma", "1", "--y", "1", "--x-min", "-1",
+      "--x-max", "4", "--points", "5"], 2),
+])
+def test_grid_edges_of_the_t_x_path(capsys, argv, code):
+    # A negative x fails the table before any output; x = 0 is pin's
+    # boundary row 1, and the path solves the rows after it.
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("error: x must be finite and >= 0, got -")
+    else:
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert err == "" and float(rows[0][1]) == 1.0
+        for x, v in ((float(r[0]), float(r[1])) for r in rows[1:]):
+            assert v == pytest.approx(pin(BoundParams(1.0, 1.0, 0.1), x).value, rel=1e-13)
 
 
 def test_compare_requires_full_triple(capsys):
